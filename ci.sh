@@ -62,8 +62,22 @@ echo "== hardware-prefetcher property suite (release) =="
 # path the property tests rely on.
 cargo test -q --release -p charlie --test hw_prefetch_props
 
-echo "== benches compile =="
-cargo bench --no-run -q
+echo "== every registered exhibit renders (tiny grid, CSV) =="
+# Each exhibit in the registry (DESIGN.md's experiment index) must render
+# at a tiny size; the list comes from the help text, which the registry
+# generates, so a newly registered exhibit is covered automatically.
+exhibits=$("${CLI[@]}" help | sed -n 's/^                     \([a-z0-9-]*\): .*/\1/p')
+if [[ $(wc -w <<<"$exhibits") -lt 20 ]]; then
+    echo "FAIL: found only $(wc -w <<<"$exhibits") exhibits in the help text" >&2
+    exit 1
+fi
+for exhibit in $exhibits; do
+    if ! CHARLIE_REFS=1500 "${CLI[@]}" experiments "$exhibit" --procs 2 --csv >/dev/null 2>&1; then
+        echo "FAIL: experiments $exhibit exited nonzero" >&2
+        exit 1
+    fi
+done
+echo "all $(wc -w <<<"$exhibits") exhibits render"
 
 echo "== quick-bench smoke vs checked-in baseline =="
 # Fails if events/sec drops more than 20% below BENCH_charlie.json's
@@ -165,8 +179,7 @@ echo "== full-grid differential: degree-0 hardware prefetcher =="
 # the entire paper grid with an online prefetcher configured at degree 0
 # must reproduce experiments_output.txt byte-for-byte.
 grid=$(mktemp -t charlie-ci-grid.XXXXXX)
-CHARLIE_HW_PREFETCH=stride:0 cargo run -q --release -p charlie-bench \
-    --bin all_experiments >"$grid" 2>/dev/null
+"${CLI[@]}" experiments all --hw-prefetch stride:0 >"$grid" 2>/dev/null
 if ! cmp -s experiments_output.txt "$grid"; then
     echo "FAIL: full grid with a degree-0 hardware prefetcher differs from" >&2
     echo "      experiments_output.txt" >&2
@@ -187,7 +200,7 @@ echo "== sampled simulation: calibration gate + exact-path identity =="
 # Second: with the sampling code in the tree but --sample-mode absent, the
 # exact path must still reproduce the golden grid byte-for-byte.
 grid=$(mktemp -t charlie-ci-sampled.XXXXXX)
-cargo run -q --release -p charlie-bench --bin all_experiments >"$grid" 2>/dev/null
+"${CLI[@]}" experiments all >"$grid" 2>/dev/null
 if ! cmp -s experiments_output.txt "$grid"; then
     echo "FAIL: exact path (sampling off) no longer reproduces" >&2
     echo "      experiments_output.txt" >&2

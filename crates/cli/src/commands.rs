@@ -432,20 +432,8 @@ pub fn sweep<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
         observe.trace_dir = Some(PathBuf::from(dir));
     }
     lab.set_observe(observe);
-    // Warm the memo in parallel; the serial loops below then read it.
-    let grid: Vec<Experiment> = Strategy::ALL
-        .into_iter()
-        .flat_map(|s| {
-            BusConfig::PAPER_SWEEP.into_iter().map(move |lat| {
-                let exp = Experiment::paper(workload, s, lat);
-                if wcfg.layout == Layout::Padded {
-                    exp.restructured()
-                } else {
-                    exp
-                }
-            })
-        })
-        .collect();
+    // Warm the memo in parallel; the rendering below then reads it.
+    let grid = sweep_grid(workload, wcfg.layout);
     let report = if let Some(path) = args.get("resume") {
         // Checkpointed sweep: completed cells from an earlier (possibly
         // killed) invocation are restored, the rest run and journal as they
@@ -479,12 +467,43 @@ pub fn sweep<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
         lab.run_batch(&grid, jobs)
     };
     bail_on_failures(&report)?;
-    if args.switch("json") {
+    render_sweep(&mut lab, workload, wcfg.layout, args.switch("json"), out);
+    Ok(())
+}
+
+/// The `charlie sweep` grid for one workload (every strategy across the
+/// paper's latency sweep, restructured when the layout is padded).
+pub(crate) fn sweep_grid(workload: Workload, layout: Layout) -> Vec<Experiment> {
+    Strategy::ALL
+        .into_iter()
+        .flat_map(|s| {
+            BusConfig::PAPER_SWEEP.into_iter().map(move |lat| {
+                let exp = Experiment::paper(workload, s, lat);
+                if layout == Layout::Padded {
+                    exp.restructured()
+                } else {
+                    exp
+                }
+            })
+        })
+        .collect()
+}
+
+/// Renders the sweep grid as `charlie sweep` prints it; `submit
+/// --workload` renders daemon cells through the same function.
+pub(crate) fn render_sweep<W: Write>(
+    lab: &mut Lab,
+    workload: Workload,
+    layout: Layout,
+    json: bool,
+    out: &mut W,
+) {
+    if json {
         let mut rows = Vec::new();
         for s in Strategy::PREFETCHING {
             for lat in BusConfig::PAPER_SWEEP {
                 let mut exp = Experiment::paper(workload, s, lat);
-                if wcfg.layout == Layout::Padded {
+                if layout == Layout::Padded {
                     exp = exp.restructured();
                 }
                 let rel = lab.relative_time(exp);
@@ -496,10 +515,9 @@ pub fn sweep<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
         }
         let _ = writeln!(out, "[{}]", rows.join(","));
     } else {
-        let table = exhibits::figure2_for(&mut lab, workload);
+        let table = exhibits::figure2_for(lab, workload);
         let _ = writeln!(out, "{table}");
     }
-    Ok(())
 }
 
 /// `charlie export-trace`.
@@ -550,74 +568,88 @@ pub fn run_trace<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
     simulate_prepared(&label, &trace, strategy, &opts, Observability::default(), args.switch("json"), out)
 }
 
-/// `charlie experiments`.
+/// `charlie experiments`: batches every named exhibit's grid through the
+/// parallel engine, then renders the exhibits from the memo.
 pub fn experiments<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
-    args.expect_known(&["jobs"])?;
+    args.expect_known(&["jobs", "procs", "seed", "hw-prefetch", "resume", "svg-dir"])?;
     let jobs = parse_jobs(args);
-    let mut lab = Lab::new(RunConfig::default());
-    let names: Vec<String> = if args.positional.is_empty() {
-        vec!["all".to_owned()]
+    let names: Vec<&str> = if args.positional.is_empty() {
+        vec!["all"]
     } else {
-        args.positional.clone()
+        args.positional.iter().map(String::as_str).collect()
     };
-    // Batch every requested exhibit's cells through the parallel engine up
-    // front; the exhibit functions below then run from the memo. Bail before
-    // rendering if any cell failed — exhibits would re-simulate (and panic
-    // on) the missing cells.
-    let grid: Vec<Experiment> =
-        names.iter().flat_map(|name| exhibits::grid_for(name)).collect();
-    let report = lab.run_batch(&grid, jobs);
+    let chosen = names
+        .iter()
+        .map(|&name| {
+            exhibits::exhibit(name).ok_or_else(|| {
+                ArgsError(format!(
+                    "unknown exhibit {name:?} (one of {})",
+                    exhibits::exhibit_names()
+                ))
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let resume = args.get("resume").map(PathBuf::from);
+    if resume.is_some() && chosen.len() != 1 {
+        return Err(ArgsError(format!(
+            "--resume journals exactly one exhibit; got {}",
+            chosen.len()
+        )));
+    }
+    let defaults = RunConfig::default();
+    let mut cfg = RunConfig {
+        procs: args.get_or("procs", defaults.procs)?,
+        seed: args.get_or("seed", defaults.seed)?,
+        ..defaults
+    };
+    if let Some(spec) = args.get("hw-prefetch") {
+        cfg.hw_prefetch = HwPrefetchConfig::parse(spec)
+            .map_err(|e| ArgsError(format!("--hw-prefetch {spec:?}: {e}")))?;
+    }
+    let mut lab = Lab::new(cfg);
+
+    // Bail before rendering if any cell failed: exhibits would re-simulate
+    // (and panic on) the missing cells.
+    let grid: Vec<Experiment> = chosen.iter().flat_map(|e| (e.grid)()).collect();
+    let report = match &resume {
+        Some(path) if !grid.is_empty() => {
+            // The historical `all_experiments/…` key pins the lab config,
+            // not the exhibit: every exhibit's cells are entries of the same
+            // memo, so a journal of any exhibit (full-grid journals of
+            // earlier builds included) resumes any other.
+            let config = exhibits::campaign_key("all_experiments", &cfg);
+            let opts = charlie::checkpoint::JournalOptions { config: Some(config), sync: false };
+            let (mut journal, restored) = charlie::checkpoint::Journal::open_with(path, opts)
+                .map_err(|e| ArgsError(format!("--resume {}: {e}", path.display())))?;
+            if !restored.is_empty() {
+                eprintln!("resuming: {} cells restored from {}", restored.len(), path.display());
+            }
+            for summary in restored {
+                lab.restore(summary);
+            }
+            lab.run_batch_checkpointed(&grid, jobs, &mut journal)
+        }
+        _ => lab.run_batch(&grid, jobs),
+    };
+    let wall_ms = report.wall_nanos as f64 / 1e6;
+    let sim_ms = report.sim_nanos as f64 / 1e6;
+    let speedup = if report.wall_nanos > 0 { sim_ms / wall_ms } else { 1.0 };
+    eprintln!(
+        "batch: {} simulations on {} workers in {wall_ms:.1} ms ({sim_ms:.1} ms of simulation, \
+         {speedup:.1}x), {} memo hits",
+        report.executed, report.jobs, report.memo_hits
+    );
     bail_on_failures(&report)?;
-    let csv = args.switch("csv");
-    let emit = |out: &mut W, table: &charlie::Table| {
-        if csv {
-            let _ = write!(out, "{}", table.to_csv());
-        } else {
-            let _ = writeln!(out, "{table}");
-        }
-    };
-    for name in names {
-        match name.as_str() {
-            "table1" => emit(out, &exhibits::table1(&mut lab)),
-            "figure1" => emit(out, &exhibits::figure1(&mut lab)),
-            "table2" => emit(out, &exhibits::table2(&mut lab)),
-            "figure2" => {
-                for panel in exhibits::figure2(&mut lab) {
-                    emit(out, &panel);
-                }
-            }
-            "figure3" => emit(out, &exhibits::figure3(&mut lab)),
-            "table3" => emit(out, &exhibits::table3(&mut lab)),
-            "table4" => emit(out, &exhibits::table4(&mut lab)),
-            "table5" => emit(out, &exhibits::table5(&mut lab)),
-            "proc-util" => emit(out, &exhibits::processor_utilization(&mut lab)),
-            // Post-paper exhibit; deliberately not part of "all", whose
-            // output is pinned byte-for-byte to the paper grid.
-            "hw-prefetch" => {
-                for table in exhibits::hw_prefetch_head_to_head(&mut lab) {
-                    emit(out, &table);
-                }
-            }
-            "protocols" => {
-                for table in exhibits::protocol_head_to_head(&mut lab) {
-                    emit(out, &table);
-                }
-            }
-            "all" => {
-                emit(out, &exhibits::table1(&mut lab));
-                emit(out, &exhibits::figure1(&mut lab));
-                emit(out, &exhibits::table2(&mut lab));
-                for panel in exhibits::figure2(&mut lab) {
-                    emit(out, &panel);
-                }
-                emit(out, &exhibits::figure3(&mut lab));
-                emit(out, &exhibits::table3(&mut lab));
-                emit(out, &exhibits::table4(&mut lab));
-                emit(out, &exhibits::table5(&mut lab));
-                emit(out, &exhibits::processor_utilization(&mut lab));
-            }
-            other => return Err(ArgsError(format!("unknown exhibit {other:?}"))),
-        }
+
+    let mut render = exhibits::Render::new(out, args.switch("csv"));
+    render.jobs = jobs;
+    render.svg_dir = args.get("svg-dir").map(PathBuf::from);
+    // Exhibits without lab cells journal their own (config-sweep's keyed
+    // cells); a grid exhibit's journal is the one opened above.
+    render.resume = if grid.is_empty() { resume } else { None };
+    for e in chosen {
+        (e.render)(&mut lab, &mut render).map_err(ArgsError)?;
+        render.gap();
     }
     Ok(())
 }

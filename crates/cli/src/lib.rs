@@ -1,7 +1,7 @@
 //! Implementation of the `charlie` command-line tool.
 //!
 //! The binary (`src/main.rs`) is a thin shell around [`run_cli`], so every
-//! command is unit-testable. See [`HELP`] for the user-facing synopsis.
+//! command is unit-testable. See [`help`] for the user-facing synopsis.
 
 pub mod args;
 pub mod commands;
@@ -11,7 +11,7 @@ pub mod serve;
 use args::{Args, ArgsError};
 use std::io::Write;
 
-/// The `charlie --help` text.
+/// The `charlie --help` text; [`help`] fills in the exhibit list.
 pub const HELP: &str = "\
 charlie — bus-based multiprocessor cache-prefetching simulator
 (Tullsen & Eggers, ISCA 1993, reproduced in Rust)
@@ -102,15 +102,20 @@ COMMANDS:
   run-trace      simulate a text trace file
                    --file FILE  [--transfer N --strategy np|pref|… --warmup N
                    --victim N --protocol … --hw-prefetch … --check --json]
-  experiments    regenerate paper exhibits
-                   positional: table1 figure1 table2 figure2 figure3 table3
-                               table4 table5 proc-util all   [--csv --jobs N]
-                   hw-prefetch: on-line stride/SMS/Markov hardware
-                               prefetchers vs the oracle PREF strategy
-                               (post-paper; not included in \"all\")
-                   protocols:  Illinois vs Firefly vs Dragon vs MOESI
-                               coherence, NP and PREF, all five workloads
-                               (post-paper; not included in \"all\")
+  experiments    regenerate the paper's exhibits and the post-paper studies
+                   positional: exhibit names (default all)
+{exhibits}                   --csv            machine-readable tables
+                   --jobs N --procs N --seed N --hw-prefetch …
+                                    as for run; refs per processor come
+                                    from CHARLIE_REFS
+                   --resume FILE    journal the exhibit's completed cells to
+                                    FILE and restore those already there
+                                    (one exhibit only; the journal key pins
+                                    procs, refs, seed and --hw-prefetch;
+                                    ablation and trace-only exhibits
+                                    simulate outside the journal)
+                   --svg-dir DIR    figure2: also write one SVG panel per
+                                    workload
   bench          time the representative grid slice (Mp3d x all strategies x
                  all latencies) and print a BENCH_charlie.json-style snapshot
                    --quick          ~8x smaller slice (the CI smoke size)
@@ -188,7 +193,8 @@ COMMANDS:
   submit         submit a campaign to a running daemon and render the
                  streamed cells exactly as the local commands would
                    --grid paper      the full paper grid; stdout is
-                                     byte-identical to all_experiments
+                                     byte-identical to `charlie
+                                     experiments all`
                    --workload NAME   the Figure-2 sweep grid for NAME;
                                      stdout is byte-identical to `charlie
                                      sweep` (honors --layout and --json)
@@ -221,8 +227,8 @@ OPTIONS:
                  in isolation.
 
 ENVIRONMENT:
-  CHARLIE_REFS / CHARLIE_PROCS / CHARLIE_SEED set experiment-suite defaults;
-  CHARLIE_JOBS sets the worker count for the charlie-bench binaries.
+  CHARLIE_REFS sets the default references per processor (commands with
+  --refs override it).
   CHARLIE_DEBUG_LINE=HEX streams coherence trace events touching that line
   address to stderr (shorthand for --trace-out /dev/stderr --trace-cats
   coherence plus a line filter).
@@ -241,6 +247,23 @@ ENVIRONMENT:
   architecture\").
 ";
 
+/// [`HELP`] with the exhibit list generated from
+/// [`charlie::experiments::EXHIBITS`]: the paper's exhibits, then the
+/// post-paper studies.
+pub fn help() -> String {
+    let line = |e: &charlie::experiments::Exhibit| {
+        format!("                     {:<19}{}\n", format!("{}:", e.name), e.about)
+    };
+    // The registry lists the paper's exhibits first, ending with `all`.
+    let exhibits = charlie::experiments::EXHIBITS;
+    let (paper, studies) =
+        exhibits.split_at(exhibits.iter().position(|e| e.name == "all").map_or(0, |i| i + 1));
+    let mut list: String = paper.iter().map(line).collect();
+    list.push_str("                   post-paper studies (not included in \"all\"):\n");
+    list.extend(studies.iter().map(line));
+    HELP.replace("{exhibits}", &list)
+}
+
 /// Runs the CLI on `argv` (without the program name), writing to `out`.
 ///
 /// Returns the process exit code.
@@ -253,7 +276,7 @@ pub fn run_cli<W: Write>(argv: Vec<String>, out: &mut W) -> i32 {
         }
     };
     if parsed.switch("help") || parsed.command.as_deref() == Some("help") {
-        let _ = write!(out, "{HELP}");
+        let _ = write!(out, "{}", help());
         return 0;
     }
     let result: Result<(), ArgsError> = match parsed.command.as_deref() {
@@ -270,7 +293,7 @@ pub fn run_cli<W: Write>(argv: Vec<String>, out: &mut W) -> i32 {
         Some("submit") => serve::submit(&parsed, out),
         Some(other) => Err(ArgsError(format!("unknown command {other:?}; try `charlie help`"))),
         None => {
-            let _ = write!(out, "{HELP}");
+            let _ = write!(out, "{}", help());
             return 0;
         }
     };
@@ -438,6 +461,10 @@ mod tests {
         let (code, text) = run(&["experiments", "table99"]);
         assert_eq!(code, 2);
         assert!(text.contains("unknown exhibit"));
+        // The error lists every registered exhibit.
+        for e in charlie::experiments::EXHIBITS {
+            assert!(text.contains(e.name), "{} missing from {text:?}", e.name);
+        }
     }
 
     fn sweep_args(jobs: &str) -> Vec<&str> {
@@ -680,7 +707,7 @@ mod tests {
         let (code, text) = run(&["help"]);
         assert_eq!(code, 0);
         assert!(text.contains("--jobs N"));
-        assert!(text.contains("CHARLIE_JOBS"));
+        assert!(!text.contains("CHARLIE_JOBS"), "the env var is gone");
         assert!(text.contains("--check"));
         assert!(text.contains("--resume FILE"));
         assert!(text.contains("profile"));

@@ -2,17 +2,16 @@
 //! (a campaign client that renders daemon-streamed cells exactly like the
 //! local batch commands would).
 //!
-//! `submit --grid paper` reproduces the stdout of the `all_experiments`
-//! binary byte-for-byte, and `submit --workload W` that of `charlie sweep`:
+//! `submit --grid paper` reproduces the stdout of `charlie experiments all`
+//! byte-for-byte, and `submit --workload W` that of `charlie sweep`:
 //! the daemon streams journal-format summaries, the client restores them
 //! into a [`Lab`] memo, and the exhibits render from that memo — the same
 //! code path as a local run, fed from the wire instead of the simulator.
 
 use crate::args::{Args, ArgsError};
-use charlie::bus::BusConfig;
-use charlie::prefetch::{HwPrefetchConfig, Strategy};
+use charlie::prefetch::HwPrefetchConfig;
 use charlie::workloads::Layout;
-use charlie::{experiments as exhibits, Experiment, Lab, RunConfig};
+use charlie::{experiments as exhibits, Lab, RunConfig};
 use charlie_serve::{client, worker, ServeConfig, Server};
 use std::io::Write;
 use std::path::PathBuf;
@@ -109,24 +108,6 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
     Ok(())
 }
 
-/// The `charlie sweep` grid for one workload (every strategy across the
-/// paper's latency sweep, restructured when the layout is padded).
-fn sweep_grid(workload: charlie::Workload, layout: Layout) -> Vec<Experiment> {
-    Strategy::ALL
-        .into_iter()
-        .flat_map(|s| {
-            BusConfig::PAPER_SWEEP.into_iter().map(move |lat| {
-                let exp = Experiment::paper(workload, s, lat);
-                if layout == Layout::Padded {
-                    exp.restructured()
-                } else {
-                    exp
-                }
-            })
-        })
-        .collect()
-}
-
 /// `charlie submit`.
 pub fn submit<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
     args.expect_known(&[
@@ -184,7 +165,7 @@ pub fn submit<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
                 .into_iter()
                 .find(|w| w.name().eq_ignore_ascii_case(name))
                 .ok_or_else(|| ArgsError(format!("unknown workload {name:?}")))?;
-            (client::Grid::Cells(sweep_grid(workload, layout)), Some(workload))
+            (client::Grid::Cells(crate::commands::sweep_grid(workload, layout)), Some(workload))
         }
         _ => {
             return Err(ArgsError(
@@ -290,8 +271,9 @@ pub fn submit<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
     // Render exactly what the local commands would have printed: the memo
     // is fully populated, so the exhibits below are pure lookups.
     match workload {
-        None => render_paper_grid(&mut lab, out),
-        Some(w) => render_sweep(&mut lab, w, layout, args.switch("json"), out),
+        None => exhibits::write_paper_grid(&mut lab, &mut exhibits::Render::new(out, false))
+            .map_err(ArgsError)?,
+        Some(w) => crate::commands::render_sweep(&mut lab, w, layout, args.switch("json"), out),
     }
     Ok(())
 }
@@ -391,67 +373,9 @@ fn submit_fleet<W: Write>(
     eprintln!("campaign {}: {total}/{total} cells (fleet of {workers})", m.token);
 
     match workload {
-        None => render_paper_grid(&mut lab, out),
-        Some(w) => render_sweep(&mut lab, w, layout, args.switch("json"), out),
+        None => exhibits::write_paper_grid(&mut lab, &mut exhibits::Render::new(out, false))
+            .map_err(ArgsError)?,
+        Some(w) => crate::commands::render_sweep(&mut lab, w, layout, args.switch("json"), out),
     }
     Ok(())
-}
-
-/// The `all_experiments` stdout, byte-for-byte.
-fn render_paper_grid<W: Write>(lab: &mut Lab, out: &mut W) {
-    let c = *lab.config();
-    let _ = writeln!(
-        out,
-        "== all experiments — {} procs, {} refs/proc, seed {:#x} ==\n",
-        c.procs, c.refs_per_proc, c.seed
-    );
-    let _ = writeln!(out, "{}", exhibits::table1(lab));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "{}", exhibits::figure1(lab));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "{}", exhibits::table2(lab));
-    let _ = writeln!(out);
-    for panel in exhibits::figure2(lab) {
-        let _ = writeln!(out, "{panel}");
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out, "{}", exhibits::figure3(lab));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "{}", exhibits::table3(lab));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "{}", exhibits::table4(lab));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "{}", exhibits::table5(lab));
-    let _ = writeln!(out);
-    let _ = writeln!(out, "{}", exhibits::processor_utilization(lab));
-}
-
-/// The `charlie sweep` stdout, byte-for-byte.
-fn render_sweep<W: Write>(
-    lab: &mut Lab,
-    workload: charlie::Workload,
-    layout: Layout,
-    json: bool,
-    out: &mut W,
-) {
-    if json {
-        let mut rows = Vec::new();
-        for s in Strategy::PREFETCHING {
-            for lat in BusConfig::PAPER_SWEEP {
-                let mut exp = Experiment::paper(workload, s, lat);
-                if layout == Layout::Padded {
-                    exp = exp.restructured();
-                }
-                let rel = lab.relative_time(exp);
-                rows.push(format!(
-                    "{{\"strategy\":\"{}\",\"transfer\":{lat},\"relative_time\":{rel:.6}}}",
-                    s.name()
-                ));
-            }
-        }
-        let _ = writeln!(out, "[{}]", rows.join(","));
-    } else {
-        let table = exhibits::figure2_for(lab, workload);
-        let _ = writeln!(out, "{table}");
-    }
 }

@@ -413,10 +413,10 @@ fn decode_timeline(v: &Json) -> Result<Timeline, String> {
     Ok(Timeline { interval: v.field("interval")?.num()?, windows })
 }
 
-/// Encodes a `(key, report)` pair as one journal line — the variant the
-/// `config_sweep` binary uses for cells whose knobs live outside
-/// [`Experiment`] (geometry and trace-length sweeps). The key is an opaque
-/// caller-chosen cell name.
+/// Encodes a `(key, report)` pair as one journal line — the
+/// [`KeyedJournal`] record for cells whose knobs live outside
+/// [`Experiment`] (the `config-sweep` exhibit's geometry and prefetcher
+/// sweeps). The key is an opaque caller-chosen cell name.
 pub fn encode_keyed_report(key: &str, report: &SimReport) -> String {
     let mut s = String::with_capacity(1280);
     let _ = write!(s, "{{\"v\":{VERSION},");
@@ -435,87 +435,25 @@ pub fn decode_keyed_report(line: &str) -> Result<(String, SimReport), String> {
 /// Keyed checkpoint journal for cells whose knobs live outside
 /// [`Experiment`](crate::Experiment) (geometry, trace-length, and hardware
 /// prefetcher sweeps): `done` maps caller-chosen cell keys to restored
-/// reports, and `append` journals new completions. Shares [`Journal`]'s
-/// line framing and recovery classification, and — like `Journal` — routes
-/// every compaction through [`chaos::write_atomic`] (temp + fsync + rename
-/// + parent-directory fsync), so a crash mid-compaction can never lose
-/// CRC-valid completed cells.
+/// reports, and `append` journals new completions. A [`Journal`] with a
+/// different record decoder: the same line framing, the same recovery
+/// policy (one loader serves both) and the same best-effort appends.
 pub struct KeyedJournal {
+    journal: Journal,
     done: std::collections::HashMap<String, SimReport>,
-    file: ChaosWriter<File>,
 }
 
 impl KeyedJournal {
-    /// Opens (or creates) the journal: torn tails and CRC-failed lines are
-    /// dropped with a warning and compacted away; a version or config-key
-    /// mismatch or an unreadable header refuses to resume.
+    /// Opens (or creates) the journal for campaign key `config`, with
+    /// [`Journal::open_with`]'s recovery policy: torn tails, CRC-failed
+    /// lines and an unreadable header are dropped with a warning and
+    /// compacted away; a version or config-key mismatch, or a CRC-valid
+    /// line that fails to decode, refuses to resume.
     pub fn open(path: &Path, config: &str) -> io::Result<KeyedJournal> {
-        let refuse = |line: usize, msg: String| invalid_data(path, line, msg);
-        let mut content = String::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_string(&mut content)?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        // A trailing line without '\n' is a kill mid-write: drop it (that
-        // cell re-runs). A complete line failing its CRC is corruption:
-        // drop it too, with a distinct warning.
-        let complete_len = content.rfind('\n').map_or(0, |i| i + 1);
-        let mut damaged = complete_len < content.len();
-        let lines: Vec<&str> =
-            content[..complete_len].lines().filter(|l| !l.trim().is_empty()).collect();
-        let mut done = std::collections::HashMap::new();
-        let mut survivors: Vec<&str> = Vec::new();
-        if let Some((&first, records)) = lines.split_first() {
-            match unframe_line(first)
-                .map_err(|e| e.to_string())
-                .and_then(decode_journal_header)
-            {
-                Ok((_version, found)) if found == config => {}
-                Ok((_version, found)) => {
-                    return Err(refuse(
-                        1,
-                        format!(
-                            "journal was written for config {found:?} but this sweep is \
-                             {config:?}; refusing to resume — delete the checkpoint or point \
-                             it elsewhere"
-                        ),
-                    ))
-                }
-                Err(e) => return Err(refuse(1, format!("bad journal header ({e})"))),
-            }
-            for (i, &line) in records.iter().enumerate() {
-                match unframe_line(line).and_then(decode_keyed_report) {
-                    Ok((key, report)) => {
-                        done.insert(key, report);
-                        survivors.push(line);
-                    }
-                    Err(e) => {
-                        damaged = true;
-                        eprintln!(
-                            "warning: checkpoint {}:{}: dropping corrupt line ({e}); \
-                             that cell re-runs",
-                            path.display(),
-                            i + 2
-                        );
-                    }
-                }
-            }
-        }
-        // Compact damage away (and stamp the header on a fresh journal)
-        // before appending, so the file never grafts onto torn bytes.
-        if damaged || lines.is_empty() {
-            let mut out = encode_journal_header(config);
-            for line in &survivors {
-                out.push_str(line);
-                out.push('\n');
-            }
-            chaos::write_atomic(path, out.as_bytes(), "journal")?;
-        }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(KeyedJournal { done, file: ChaosWriter::new(file, "journal") })
+        let opts = JournalOptions { config: Some(config.to_owned()), sync: false };
+        let (journal, records) =
+            Journal::load(path.to_path_buf(), opts, |json| decode_keyed_report(json).map(Some))?;
+        Ok(KeyedJournal { journal, done: records.into_iter().collect() })
     }
 
     /// Cells restored at open, by key.
@@ -523,11 +461,15 @@ impl KeyedJournal {
         &self.done
     }
 
+    /// What [`KeyedJournal::open`] recovered from (all-zero when clean).
+    pub fn diag(&self) -> JournalDiag {
+        self.journal.diag()
+    }
+
     /// Appends one completed cell (best-effort, like [`Journal::append`]:
     /// journaling is an optimization over re-running the cell).
     pub fn append(&mut self, key: &str, report: &SimReport) {
-        let line = frame_line(&encode_keyed_report(key, report));
-        let _ = self.file.write_all(line.as_bytes()).and_then(|()| self.file.flush());
+        self.journal.append_payload(&encode_keyed_report(key, report));
     }
 }
 
@@ -537,7 +479,7 @@ impl KeyedJournal {
 
 /// Frames one journal payload as a full line: eight lowercase hex digits of
 /// [`chaos::crc32`] over the payload, one space, the payload, a newline.
-/// Shared by [`Journal`] and the keyed journal in the `config_sweep` binary.
+/// Shared by [`Journal`] and [`KeyedJournal`].
 pub fn frame_line(json: &str) -> String {
     format!("{:08x} {json}\n", chaos::crc32(json.as_bytes()))
 }
@@ -667,7 +609,29 @@ impl Journal {
         path: impl AsRef<Path>,
         opts: JournalOptions,
     ) -> io::Result<(Journal, Vec<RunSummary>)> {
-        let path = path.as_ref().to_path_buf();
+        Self::load(path.as_ref().to_path_buf(), opts, |json| {
+            // Multi-worker lease/heartbeat records: a single-worker resume
+            // ignores them (the summaries alone are the resume set) but
+            // keeps them through compaction so a rejoining fleet sees its
+            // fencing history.
+            if is_lease_json(json) {
+                Ok(None)
+            } else {
+                decode_summary(json).map(Some)
+            }
+        })
+    }
+
+    /// The one implementation of the recovery policy documented on
+    /// [`Journal::open_with`], parameterized by the record decoder.
+    /// `decode` maps a CRC-valid record payload to `Some(record)`, to
+    /// `None` for a line to keep through compaction without returning it,
+    /// or to an error, which refuses the journal as undecodable.
+    fn load<R>(
+        path: PathBuf,
+        opts: JournalOptions,
+        decode: impl Fn(&str) -> Result<Option<R>, String>,
+    ) -> io::Result<(Journal, Vec<R>)> {
         let sync = opts.sync || env_sync();
         let mut content = String::new();
         let existed = match File::open(&path) {
@@ -696,7 +660,7 @@ impl Journal {
         let lines: Vec<&str> =
             content[..complete_len].lines().filter(|l| !l.trim().is_empty()).collect();
 
-        let mut restored: Vec<RunSummary> = Vec::new();
+        let mut restored: Vec<R> = Vec::new();
         let mut survivors: Vec<&str> = Vec::new();
         let mut header_config: Option<String> = None;
         if let Some((&first, records)) = lines.split_first() {
@@ -728,19 +692,10 @@ impl Journal {
                     for (i, &line) in records.iter().enumerate() {
                         match unframe_line(line) {
                             Ok(json) => {
-                                if is_lease_json(json) {
-                                    // Multi-worker lease/heartbeat records: a
-                                    // single-worker resume ignores them (the
-                                    // summaries alone are the resume set) but
-                                    // keeps them through compaction so a
-                                    // rejoining fleet sees its fencing history.
-                                    survivors.push(line);
-                                    continue;
-                                }
-                                let summary = decode_summary(json)
-                                    .map_err(|e| invalid_data(&path, i + 2, e))?;
+                                let record =
+                                    decode(json).map_err(|e| invalid_data(&path, i + 2, e))?;
                                 survivors.push(line);
-                                restored.push(summary);
+                                restored.extend(record);
                             }
                             Err(e) => {
                                 diag.corrupt_lines += 1;
@@ -846,13 +801,18 @@ impl Journal {
     /// After the first write failure the journal goes inert: one stderr
     /// warning, then appends become no-ops.
     pub fn append(&mut self, summary: &RunSummary) {
+        self.append_payload(&encode_summary(summary));
+    }
+
+    /// Frames and appends one record payload (see [`Journal::append`]).
+    fn append_payload(&mut self, json: &str) {
         if self.broken {
             return;
         }
         let Some(file) = self.file.as_mut() else {
             return;
         };
-        let line = frame_line(&encode_summary(summary));
+        let line = frame_line(json);
         let sync = self.sync;
         let result = file
             .write_all(line.as_bytes())
@@ -1508,6 +1468,103 @@ mod tests {
         let line = encode_keyed_report("odd \"key\" with \\ slash", &report);
         let (key, _) = decode_keyed_report(&line).unwrap();
         assert_eq!(key, "odd \"key\" with \\ slash");
+    }
+
+    /// A keyed journal for campaign `cfg` holding `keys`, written through
+    /// [`KeyedJournal::append`]; returns the file's bytes.
+    fn keyed_journal(path: &Path, cfg: &str, keys: &[&str]) -> Vec<u8> {
+        let report = sample_summary().report;
+        let mut journal = KeyedJournal::open(path, cfg).unwrap();
+        for key in keys {
+            journal.append(key, &report);
+        }
+        drop(journal);
+        std::fs::read(path).unwrap()
+    }
+
+    #[test]
+    fn keyed_lines_keep_their_format() {
+        let path = temp_path("keyed-format");
+        let report = sample_summary().report;
+        let bytes = keyed_journal(&path, "config_sweep/p2", &["cache/Mp3d/16KB"]);
+        let mut expected = encode_journal_header("config_sweep/p2");
+        expected.push_str(&frame_line(&encode_keyed_report("cache/Mp3d/16KB", &report)));
+        assert_eq!(String::from_utf8(bytes).unwrap(), expected);
+        let journal = KeyedJournal::open(&path, "config_sweep/p2").unwrap();
+        assert_eq!(journal.done()["cache/Mp3d/16KB"], report);
+        assert!(!journal.diag().any());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn keyed_torn_tail_is_dropped_and_compacted() {
+        let path = temp_path("keyed-torn");
+        let mut bytes = keyed_journal(&path, "k", &["a", "b"]);
+        bytes.truncate(bytes.len() - 7);
+        std::fs::write(&path, &bytes).unwrap();
+        let journal = KeyedJournal::open(&path, "k").unwrap();
+        assert_eq!(journal.done().keys().collect::<Vec<_>>(), ["a"]);
+        assert!(journal.diag().torn_tail_bytes > 0);
+        drop(journal);
+        let journal = KeyedJournal::open(&path, "k").unwrap();
+        assert_eq!(journal.done().len(), 1);
+        assert!(!journal.diag().any(), "the torn tail was compacted away");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn keyed_crc_corrupt_line_is_dropped() {
+        let path = temp_path("keyed-crc");
+        let bytes = keyed_journal(&path, "k", &["a", "b"]);
+        let text = String::from_utf8(bytes).unwrap();
+        let second = text.match_indices('\n').nth(1).unwrap().0 + 1;
+        let mut bytes = text.into_bytes();
+        bytes[second + 20] ^= 0x01; // inside "b"'s payload
+        std::fs::write(&path, &bytes).unwrap();
+        let journal = KeyedJournal::open(&path, "k").unwrap();
+        assert_eq!(journal.done().keys().collect::<Vec<_>>(), ["a"]);
+        assert_eq!(journal.diag().corrupt_lines, 1);
+        assert_eq!(journal.diag().torn_tail_bytes, 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn keyed_config_mismatch_is_refused() {
+        let path = temp_path("keyed-config");
+        keyed_journal(&path, "config_sweep/p2/r900", &["a"]);
+        let err = KeyedJournal::open(&path, "config_sweep/p2/r1000").err().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("refusing to resume"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn keyed_crc_valid_undecodable_line_is_an_error() {
+        let path = temp_path("keyed-undecodable");
+        let mut content = encode_journal_header("k");
+        content.push_str(&frame_line("{\"v\":2,\"key\":\"a\"}"));
+        std::fs::write(&path, &content).unwrap();
+        let err = KeyedJournal::open(&path, "k").err().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(":2:"), "names the line: {err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn keyed_unreadable_header_restarts_fresh() {
+        let path = temp_path("keyed-header");
+        let mut bytes = keyed_journal(&path, "k", &["a"]);
+        bytes[3] ^= 0x10; // rot inside the header's CRC field
+        std::fs::write(&path, &bytes).unwrap();
+        let mut journal = KeyedJournal::open(&path, "k").unwrap();
+        assert!(journal.done().is_empty(), "untrusted header discards every record");
+        assert!(journal.diag().header_discarded);
+        journal.append("b", &SimReport::default());
+        drop(journal);
+        let journal = KeyedJournal::open(&path, "k").unwrap();
+        assert_eq!(journal.done().keys().collect::<Vec<_>>(), ["b"]);
+        assert!(!journal.diag().any());
+        let _ = std::fs::remove_file(&path);
     }
 
     fn lease(event: LeaseEvent, cell: u64, worker: &str, gen: u64, deadline_ms: u64) -> LeaseRecord {

@@ -81,7 +81,7 @@ pub struct RunConfig {
     pub seed: u64,
     /// Per-processor cache geometry (the paper's experiments use
     /// 32 KB direct-mapped with 32-byte blocks; §3.3 discusses other
-    /// configurations, reproduced by the `config_sweep` binary).
+    /// configurations, reproduced by the `config-sweep` exhibit).
     pub geometry: CacheGeometry,
     /// Per-run wall-clock watchdog in milliseconds
     /// ([`SimConfig::wall_limit_ms`]); 0 (the default, overridable with the
@@ -931,17 +931,6 @@ impl Lab {
     pub fn prefetch_all(&mut self, jobs: usize) -> BatchReport {
         let grid = crate::experiments::full_grid();
         self.run_batch(&grid, jobs)
-    }
-
-    /// [`Lab::prefetch_all`] journaling each completed cell to `journal`
-    /// (see [`Lab::run_batch_checkpointed`]).
-    pub fn prefetch_all_checkpointed(
-        &mut self,
-        jobs: usize,
-        journal: &mut crate::checkpoint::Journal,
-    ) -> BatchReport {
-        let grid = crate::experiments::full_grid();
-        self.run_batch_checkpointed(&grid, jobs, journal)
     }
 
     /// Normalizes a `--jobs`-style request: `0` means one worker per

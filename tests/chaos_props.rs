@@ -58,6 +58,47 @@ fn chaos_rejects_zero_points() {
     assert!(text.contains("--points"), "{text}");
 }
 
+/// `experiments --resume` journals an exhibit's cells: a second run
+/// restores every one, simulates nothing and prints the same bytes. Runs
+/// the binary because the trace size comes from `CHARLIE_REFS`.
+#[test]
+fn experiments_resume_is_byte_identical_and_simulates_nothing() {
+    let _guard = lock();
+    let dir = scratch("experiments-resume");
+    let journal = dir.join("table3.ckpt");
+    let _ = std::fs::remove_file(&journal);
+    let run_table3 = || {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_charlie"))
+            .args(["experiments", "table3", "--procs", "2", "--jobs", "2", "--resume"])
+            .arg(&journal)
+            .env("CHARLIE_REFS", "1500")
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "{stderr}");
+        (String::from_utf8(out.stdout).unwrap(), stderr)
+    };
+    let (first, first_err) = run_table3();
+    assert!(first.starts_with("Table 3:"), "{first}");
+    assert!(first_err.contains("batch: 5 simulations"), "{first_err}");
+    let journaled = std::fs::read(&journal).unwrap();
+
+    let (second, second_err) = run_table3();
+    assert_eq!(first, second, "resumed output must be byte-identical");
+    assert!(second_err.contains("resuming: 5 cells restored"), "{second_err}");
+    assert!(second_err.contains("batch: 0 simulations"), "{second_err}");
+    assert_eq!(std::fs::read(&journal).unwrap(), journaled, "a full resume appends nothing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn experiments_resume_refuses_two_exhibits() {
+    let (code, text) = run(&["experiments", "table3", "table4", "--resume", "unused.ckpt"]);
+    assert_eq!(code, 2, "{text}");
+    assert!(text.contains("exactly one exhibit"), "{text}");
+    assert!(!std::path::Path::new("unused.ckpt").exists(), "refused before opening");
+}
+
 /// Satellite guarantee: a journal written by one campaign shape refuses to
 /// resume another instead of silently mixing grids.
 #[test]
