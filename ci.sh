@@ -11,6 +11,10 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 
+echo "== docs: every intra-doc link resolves =="
+# A removed or renamed item must not leave a dangling [`link`] behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== serial-vs-parallel equivalence (tiny grid) =="
 CLI=(cargo run -q --release -p charlie-cli --)
 serial=$("${CLI[@]}" sweep --workload mp3d --refs 2000 --procs 2 --json --jobs 1)

@@ -6,7 +6,7 @@ use charlie::bus::BusConfig;
 use charlie::cache::CacheGeometry;
 use charlie::prefetch::{apply, HwPrefetchConfig, Strategy};
 use charlie::sim::{
-    simulate_observed, Observability, Protocol, SampleConfig, SimConfig, TraceCategories,
+    simulate_with, Observability, Protocol, SampleConfig, SimConfig, SimOptions, TraceCategories,
     TraceEmitter,
 };
 use charlie::chaos::{self, FaultKind, FaultPlan};
@@ -89,8 +89,16 @@ impl MachineOpts {
     }
 }
 
-/// Applies the strategy and builds the machine config shared by `run`,
-/// `run-trace` and `profile`.
+/// Generates a workload trace and validates it once, up front: `apply`
+/// preserves validity, so the prepared trace simulates without re-checking.
+fn generate_validated(workload: Workload, cfg: &WorkloadConfig) -> Result<Trace, ArgsError> {
+    let raw = generate(workload, cfg);
+    raw.validate().map_err(|e| ArgsError(format!("{workload}: invalid trace: {e}")))?;
+    Ok(raw)
+}
+
+/// Applies the strategy to a validated trace and builds the machine config
+/// shared by `run`, `run-trace` and `profile`.
 fn prepare_cell(
     raw: &Trace,
     strategy: Strategy,
@@ -158,8 +166,9 @@ fn simulate_prepared<W: Write>(
     let (prepared, sim_cfg) = prepare_cell(raw, strategy, opts)?;
     // The timeline is dropped here on purpose: `run` output must be
     // byte-identical with observation on or off (use `profile` to see it).
-    let (report, _timeline) =
-        simulate_observed(&sim_cfg, &prepared, obs).map_err(|e| ArgsError(e.to_string()))?;
+    let report = simulate_with(&sim_cfg, &prepared, SimOptions { observe: obs, plan: None })
+        .map_err(|e| ArgsError(e.to_string()))?
+        .report;
     let inserted = prepared.total_prefetches() as u64;
     if json {
         let _ = writeln!(out, "{}", report_json(label, &report, inserted));
@@ -258,7 +267,7 @@ pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
                     .into(),
             ));
         }
-        let raw = generate(workload, &cfg);
+        let raw = generate_validated(workload, &cfg)?;
         let (prepared, sim_cfg) = prepare_cell(&raw, strategy, &opts)?;
         let (report, sampled) = charlie::run_sampled_on_prepared(&sim_cfg, &prepared, &scfg)
             .map_err(|e| ArgsError(e.to_string()))?;
@@ -275,7 +284,7 @@ pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
         return Ok(());
     }
     let obs = observability_from_args(args)?;
-    let raw = generate(workload, &cfg);
+    let raw = generate_validated(workload, &cfg)?;
     simulate_prepared(&label, &raw, strategy, &opts, obs, args.switch("json"), out)
 }
 
@@ -312,11 +321,13 @@ pub fn profile<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
         sample: Some(SampleConfig::every(interval)),
         tracer: tracer_from_args(args)?,
     };
-    let raw = generate(workload, &cfg);
+    let raw = generate_validated(workload, &cfg)?;
     let (prepared, sim_cfg) = prepare_cell(&raw, strategy, &opts)?;
-    let (report, timeline) =
-        simulate_observed(&sim_cfg, &prepared, obs).map_err(|e| ArgsError(e.to_string()))?;
-    let timeline = timeline
+    let run = simulate_with(&sim_cfg, &prepared, SimOptions { observe: obs, plan: None })
+        .map_err(|e| ArgsError(e.to_string()))?;
+    let report = run.report;
+    let timeline = run
+        .timeline
         .ok_or_else(|| ArgsError("profile produced no timeline despite sampling".into()))?;
     let inserted = prepared.total_prefetches() as u64;
     let label = format!("{workload}/{strategy} @{}cy", opts.transfer);
@@ -677,11 +688,8 @@ pub fn bench<W: Write>(args: &Args, out: &mut W) -> Result<(), ArgsError> {
             "--baseline compares exact-slice throughput; it cannot gate --sampled".into(),
         ));
     }
-    let snapshot = if sampled {
-        charlie::bench::run_sampled_slice(label, &slice_cfg, &SamplingConfig::smarts())
-    } else {
-        charlie::bench::run_slice(label, &slice_cfg)
-    };
+    let snapshot =
+        charlie::bench::run_slice(label, &slice_cfg, sampled.then(SamplingConfig::smarts));
     let _ = writeln!(out, "{}", snapshot.summary());
 
     if let Some(path) = args.get("out") {

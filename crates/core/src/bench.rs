@@ -7,19 +7,18 @@
 //! five prefetch strategies and all five paper transfer latencies: 25 cells,
 //! the same shape as one Figure-2 panel. Cells run through the same
 //! shared-trace pipeline a `Lab` batch uses; the harness records the
-//! median cell wall-clock, scheduler events per second (from
-//! [`charlie_sim::simulate_counted_prevalidated`]), peak RSS, and a
+//! median cell wall-clock, scheduler events per second, peak RSS, and a
 //! checksum over the reports proving two snapshots simulated identical
 //! work.
 //!
 //! Run it via `charlie-cli bench [--quick]` or the `ci.sh` quick-bench
 //! smoke stage; see EXPERIMENTS.md for how to compare snapshots.
 
-use crate::Experiment;
+use crate::lab::{prepare_raw, prepare_strategy, run_on_prepared};
+use crate::{Experiment, ObserveSpec, RunConfig, SamplingConfig};
 use charlie_bus::BusConfig;
 use charlie_prefetch::Strategy;
-use charlie_sim::{simulate_counted_prevalidated, SimConfig};
-use charlie_workloads::{generate, Layout, Workload, WorkloadConfig};
+use charlie_workloads::Workload;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -90,110 +89,51 @@ pub struct Snapshot {
 
 /// Runs the grid slice under `cfg` and measures it.
 ///
-/// The slice executes through the same shared-trace pipeline a `Lab` batch
-/// uses: the raw trace is generated and validated once (the slice is one
+/// The slice executes through the same pipeline stages a `Lab` batch runs:
+/// the raw trace is generated and validated once (the slice is one
 /// workload and layout), each strategy is applied once, and each cell
-/// simulates prevalidated. A cell's wall-clock is its simulation plus its
-/// amortized share of that shared preparation, so `median_cell_ms` is the
-/// true marginal cost of one cell inside a full-grid regeneration.
-pub fn run_slice(label: &str, cfg: &SliceConfig) -> Snapshot {
+/// simulates the prepared trace. A cell's wall-clock is its simulation plus
+/// its amortized share of that shared preparation, so `median_cell_ms` is
+/// the true marginal cost of one cell inside a full-grid regeneration.
+///
+/// With `sampling` (the `sampled` entry in `BENCH_charlie.json`, DESIGN.md
+/// §17) each cell simulates under that sampled mode instead, so `events`
+/// counts the sampled run's scheduler events (period-fold fewer than exact)
+/// and `cycles_checksum` sums the *estimated* cycle counts: it proves two
+/// sampled snapshots estimated identically, not that they match exact.
+pub fn run_slice(label: &str, cfg: &SliceConfig, sampling: Option<SamplingConfig>) -> Snapshot {
+    let run_cfg = RunConfig {
+        procs: cfg.procs,
+        refs_per_proc: cfg.refs_per_proc,
+        seed: cfg.seed,
+        sampling,
+        ..RunConfig::default()
+    };
+    let observe = ObserveSpec::default();
     let exps = slice_experiments();
     let mut cell_ms: Vec<f64> = Vec::with_capacity(exps.len());
     let mut sim_nanos: u128 = 0;
     let mut events: u64 = 0;
     let mut checksum: u64 = 0;
     let slice_start = Instant::now();
-    let wcfg = WorkloadConfig {
-        procs: cfg.procs,
-        refs_per_proc: cfg.refs_per_proc,
-        seed: cfg.seed,
-        layout: Layout::Interleaved,
-    };
     let gen_start = Instant::now();
-    let raw = generate(Workload::Mp3d, &wcfg);
-    raw.validate().expect("generated trace is valid");
+    let raw = prepare_raw(&run_cfg, exps[0]).unwrap_or_else(|e| panic!("bench trace: {e}"));
     let gen_share_ns = gen_start.elapsed().as_nanos() as f64 / exps.len() as f64;
     for strategy in Strategy::ALL {
         let apply_start = Instant::now();
-        let prepared =
-            charlie_prefetch::apply(strategy, &raw, charlie_cache::CacheGeometry::paper_default());
-        let cells: Vec<&Experiment> =
-            exps.iter().filter(|e| e.strategy == strategy).collect();
+        let (prepared, inserted) = prepare_strategy(&run_cfg, strategy, &raw)
+            .unwrap_or_else(|e| panic!("bench strategy {strategy}: {e}"));
+        let cells: Vec<Experiment> =
+            exps.iter().copied().filter(|e| e.strategy == strategy).collect();
         let apply_share_ns = apply_start.elapsed().as_nanos() as f64 / cells.len() as f64;
         for exp in cells {
-            let sim_cfg = SimConfig::paper(cfg.procs, exp.transfer_cycles);
             let sim_start = Instant::now();
-            let (report, cell_events) = simulate_counted_prevalidated(&sim_cfg, &prepared)
-                .unwrap_or_else(|e| panic!("bench cell {exp}: {e}"));
+            let (summary, cell_events) =
+                run_on_prepared(&run_cfg, exp, &prepared, inserted, None, &observe)
+                    .unwrap_or_else(|e| panic!("bench cell {exp}: {e}"));
             sim_nanos += sim_start.elapsed().as_nanos();
             events += cell_events;
-            checksum =
-                checksum.wrapping_add(report.cycles).wrapping_add(report.miss.cpu_misses());
-            let cell_nanos =
-                sim_start.elapsed().as_nanos() as f64 + apply_share_ns + gen_share_ns;
-            cell_ms.push(cell_nanos / 1e6);
-        }
-    }
-    let total_ms = slice_start.elapsed().as_nanos() as f64 / 1e6;
-    let sim_ms = sim_nanos as f64 / 1e6;
-    Snapshot {
-        label: label.to_owned(),
-        cells: exps.len(),
-        procs: cfg.procs,
-        refs_per_proc: cfg.refs_per_proc,
-        median_cell_ms: median(&mut cell_ms),
-        total_ms,
-        sim_ms,
-        events,
-        events_per_sec: if sim_ms > 0.0 { events as f64 * 1e3 / sim_ms } else { 0.0 },
-        peak_rss_kb: peak_rss_kb(),
-        cycles_checksum: checksum,
-    }
-}
-
-/// Runs the grid slice under SMARTS sampling (DESIGN.md §17) and measures
-/// it — the `sampled` entry in `BENCH_charlie.json`. Same 25 cells and
-/// shared-trace pipeline as [`run_slice`], but each cell simulates through
-/// [`crate::sampling::run_sampled_on_prepared`], so `events` counts the
-/// sampled run's scheduler events (period-fold fewer than exact) and
-/// `cycles_checksum` sums the *estimated* cycle counts: it proves two
-/// sampled snapshots estimated identically, not that they match exact.
-pub fn run_sampled_slice(
-    label: &str,
-    cfg: &SliceConfig,
-    scfg: &crate::SamplingConfig,
-) -> Snapshot {
-    let exps = slice_experiments();
-    let mut cell_ms: Vec<f64> = Vec::with_capacity(exps.len());
-    let mut sim_nanos: u128 = 0;
-    let mut events: u64 = 0;
-    let mut checksum: u64 = 0;
-    let slice_start = Instant::now();
-    let wcfg = WorkloadConfig {
-        procs: cfg.procs,
-        refs_per_proc: cfg.refs_per_proc,
-        seed: cfg.seed,
-        layout: Layout::Interleaved,
-    };
-    let gen_start = Instant::now();
-    let raw = generate(Workload::Mp3d, &wcfg);
-    raw.validate().expect("generated trace is valid");
-    let gen_share_ns = gen_start.elapsed().as_nanos() as f64 / exps.len() as f64;
-    for strategy in Strategy::ALL {
-        let apply_start = Instant::now();
-        let prepared =
-            charlie_prefetch::apply(strategy, &raw, charlie_cache::CacheGeometry::paper_default());
-        let cells: Vec<&Experiment> =
-            exps.iter().filter(|e| e.strategy == strategy).collect();
-        let apply_share_ns = apply_start.elapsed().as_nanos() as f64 / cells.len() as f64;
-        for exp in cells {
-            let sim_cfg = SimConfig::paper(cfg.procs, exp.transfer_cycles);
-            let sim_start = Instant::now();
-            let (report, summary) =
-                crate::sampling::run_sampled_on_prepared(&sim_cfg, &prepared, scfg)
-                    .unwrap_or_else(|e| panic!("sampled bench cell {exp}: {e}"));
-            sim_nanos += sim_start.elapsed().as_nanos();
-            events += summary.events;
+            let report = &summary.report;
             checksum =
                 checksum.wrapping_add(report.cycles).wrapping_add(report.miss.cpu_misses());
             let cell_nanos =
@@ -365,13 +305,13 @@ mod tests {
     #[test]
     fn tiny_slice_runs_and_measures() {
         let cfg = SliceConfig { refs_per_proc: 300, procs: 2, seed: 7 };
-        let s = run_slice("test", &cfg);
+        let s = run_slice("test", &cfg, None);
         assert_eq!(s.cells, 25);
         assert!(s.events > 0);
         assert!(s.events_per_sec > 0.0);
         assert!(s.total_ms >= s.sim_ms);
         // Determinism: same slice, same events and checksum.
-        let s2 = run_slice("test", &cfg);
+        let s2 = run_slice("test", &cfg, None);
         assert_eq!(s.events, s2.events);
         assert_eq!(s.cycles_checksum, s2.cycles_checksum);
     }

@@ -29,7 +29,7 @@
 //! loss before kernel writeback) an opt-in sync mode
 //! ([`JournalOptions::sync`] or `CHARLIE_JOURNAL_SYNC=1`) fsyncs after
 //! every append. All journal bytes pass through
-//! [`chaos::ChaosWriter`](crate::chaos::ChaosWriter), which is how
+//! [`chaos::ChaosWriter`], which is how
 //! `tests/chaos_props.rs` and `charlie chaos` prove these recovery paths
 //! at every injected fault offset.
 //!
@@ -415,7 +415,7 @@ fn decode_timeline(v: &Json) -> Result<Timeline, String> {
 
 /// Encodes a `(key, report)` pair as one journal line — the
 /// [`KeyedJournal`] record for cells whose knobs live outside
-/// [`Experiment`] (the `config-sweep` exhibit's geometry and prefetcher
+/// [`Experiment`](crate::Experiment) (the `config-sweep` exhibit's geometry and prefetcher
 /// sweeps). The key is an opaque caller-chosen cell name.
 pub fn encode_keyed_report(key: &str, report: &SimReport) -> String {
     let mut s = String::with_capacity(1280);

@@ -13,8 +13,8 @@ use crate::retry::RetryPolicy;
 use charlie_cache::CacheGeometry;
 use charlie_prefetch::Strategy;
 use charlie_sim::{
-    simulate_observed_prevalidated, HwPrefetchConfig, Observability, Protocol, SampleConfig,
-    SimConfig, SimError, SimReport, Timeline, TraceCategories, TraceEmitter,
+    simulate_with, HwPrefetchConfig, Observability, Protocol, SampleConfig, SimConfig, SimError,
+    SimOptions, SimReport, Timeline, TraceCategories, TraceEmitter,
 };
 use charlie_trace::Trace;
 use charlie_workloads::{generate, Layout, Workload, WorkloadConfig};
@@ -86,8 +86,9 @@ pub struct RunConfig {
     /// Per-run wall-clock watchdog in milliseconds
     /// ([`SimConfig::wall_limit_ms`]); 0 (the default, overridable with the
     /// `CHARLIE_WALL_LIMIT_MS` environment variable) disables it. The
-    /// deterministic event budget ([`watchdog_budget`]) stays armed either
-    /// way; this additionally catches runs wedged cheaply in wall time.
+    /// deterministic event budget ([`SimConfig::max_events`], scaled to
+    /// the trace size) stays armed either way; this additionally catches
+    /// runs wedged cheaply in wall time.
     pub wall_limit_ms: u64,
     /// On-line hardware prefetcher every run of this lab simulates with
     /// ([`SimConfig::hw_prefetch`]). Off by default — the paper's machine
@@ -131,6 +132,24 @@ impl Default for RunConfig {
             hw_prefetch: HwPrefetchConfig::OFF,
             protocol: Protocol::WriteInvalidate,
             sampling: None,
+        }
+    }
+}
+
+impl RunConfig {
+    /// The simulator configuration for one cell of this lab: the paper's
+    /// machine at the cell's transfer latency, with this config's cache
+    /// geometry, coherence protocol, hardware prefetcher, the deterministic
+    /// event budget (scaled to the trace size) and the wall-clock limit.
+    /// Every path that simulates a lab cell derives its machine here.
+    pub(crate) fn sim_config(&self, exp: Experiment) -> SimConfig {
+        SimConfig {
+            geometry: self.geometry,
+            max_events: watchdog_budget(self),
+            wall_limit_ms: self.wall_limit_ms,
+            hw_prefetch: self.hw_prefetch,
+            protocol: self.protocol,
+            ..SimConfig::paper(self.procs, exp.transfer_cycles)
         }
     }
 }
@@ -419,68 +438,6 @@ fn workload_config(cfg: &RunConfig, layout: Layout) -> WorkloadConfig {
     }
 }
 
-/// Runs one experiment against an already-prepared (strategy applied,
-/// validity established) trace. `apply` preserves trace validity (asserted
-/// by `apply_preserves_trace_validity` below), so one validation of the raw
-/// trace covers every strategy and latency cell derived from it.
-fn run_on_prepared(
-    cfg: &RunConfig,
-    exp: Experiment,
-    prepared: &Trace,
-    prefetches_inserted: u64,
-    observe: &ObserveSpec,
-) -> Result<RunSummary, RunError> {
-    let sim_cfg = SimConfig {
-        geometry: cfg.geometry,
-        max_events: watchdog_budget(cfg),
-        wall_limit_ms: cfg.wall_limit_ms,
-        hw_prefetch: cfg.hw_prefetch,
-        protocol: cfg.protocol,
-        ..SimConfig::paper(cfg.procs, exp.transfer_cycles)
-    };
-    if let Some(scfg) = cfg.sampling {
-        let (report, sampled) =
-            crate::sampling::run_sampled_on_prepared(&sim_cfg, prepared, &scfg)
-                .map_err(RunError::Sim)?;
-        return Ok(RunSummary {
-            experiment: exp,
-            report,
-            prefetches_inserted,
-            timeline: None,
-            sampled: Some(sampled),
-        });
-    }
-    let obs = observe.observability_for(exp)?;
-    let (report, timeline) = simulate_observed_prevalidated(&sim_cfg, prepared, obs)?;
-    Ok(RunSummary { experiment: exp, report, prefetches_inserted, timeline, sampled: None })
-}
-
-/// Runs one experiment against an already-validated raw trace.
-fn run_on_raw(
-    cfg: &RunConfig,
-    exp: Experiment,
-    raw: &Trace,
-    observe: &ObserveSpec,
-) -> Result<RunSummary, RunError> {
-    let prepared = charlie_prefetch::apply(exp.strategy, raw, cfg.geometry);
-    let prefetches_inserted = prepared.total_prefetches() as u64;
-    run_on_prepared(cfg, exp, &prepared, prefetches_inserted, observe)
-}
-
-/// Runs one experiment under `cfg`, independent of any lab. This is the
-/// unit of work both the serial and the parallel paths execute; it touches
-/// no shared state, which is what makes [`Lab::run_batch`] trivially
-/// deterministic.
-fn run_experiment(
-    cfg: &RunConfig,
-    exp: Experiment,
-    observe: &ObserveSpec,
-) -> Result<RunSummary, RunError> {
-    let raw = generate(exp.workload, &workload_config(cfg, exp.layout));
-    raw.validate().map_err(|e| RunError::Sim(SimError::InvalidTrace(e)))?;
-    run_on_raw(cfg, exp, &raw, observe)
-}
-
 /// Fault-injection hook: consulted with the experiment before each run; a
 /// `Some(error)` fails the cell without simulating.
 type Injector = dyn Fn(Experiment) -> Option<RunError> + Send + Sync;
@@ -496,94 +453,100 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One isolated cell execution: the injector (if any) runs first, then the
-/// experiment, with panics from either caught and converted into
-/// [`RunError::Panic`] so a single bad cell cannot take down its batch.
-fn run_cell(
-    cfg: &RunConfig,
-    exp: Experiment,
-    injector: Option<&Injector>,
-    observe: &ObserveSpec,
-) -> Result<RunSummary, RunError> {
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(inject) = injector {
-            if let Some(error) = inject(exp) {
-                return Err(error);
-            }
-        }
-        run_experiment(cfg, exp, observe)
-    }));
-    match attempt {
-        Ok(result) => result,
-        Err(payload) => Err(RunError::Panic(panic_message(payload.as_ref()))),
-    }
+/// Runs one pipeline stage with its panics caught and converted into
+/// [`RunError::Panic`], so a single bad cell cannot take down its batch.
+fn isolate<T>(stage: impl FnOnce() -> Result<T, RunError>) -> Result<T, RunError> {
+    catch_unwind(AssertUnwindSafe(stage))
+        .unwrap_or_else(|payload| Err(RunError::Panic(panic_message(payload.as_ref()))))
 }
 
-/// One panic-isolated cell execution independent of any [`Lab`] — the
-/// entry point the serve daemon's worker pool uses. Exactly the unit of
-/// work [`Lab::run_batch`] executes per cell (generate, validate, apply
-/// strategy, simulate), so a served summary is bit-identical to a batch
-/// one; a panicking cell comes back as [`RunError::Panic`] instead of
-/// unwinding the worker.
-pub fn execute_cell(cfg: &RunConfig, exp: Experiment) -> Result<RunSummary, RunError> {
-    run_cell(cfg, exp, None, &ObserveSpec::default())
-}
+// The cell pipeline. Every path that simulates a lab cell — a batch, the
+// serial `Lab::run`, a served or fleet cell, calibration and the benchmark
+// slice — runs these three stages; a batch shares the first two across the
+// cells that can use their output.
 
-/// Generates and validates the raw (pre-strategy) trace for one
-/// (workload, layout) pair, with the same panic isolation as [`run_cell`].
-/// A batch calls this once per distinct pair and shares the result across
-/// every strategy/latency cell derived from it.
-fn prepare_raw(cfg: &RunConfig, exp: Experiment) -> Result<Arc<Trace>, RunError> {
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
+/// Stage 1: generates and validates the raw (pre-strategy) trace for one
+/// (workload, layout) pair. Strategy and transfer latency do not change it.
+pub(crate) fn prepare_raw(cfg: &RunConfig, exp: Experiment) -> Result<Arc<Trace>, RunError> {
+    isolate(|| {
         let raw = generate(exp.workload, &workload_config(cfg, exp.layout));
         raw.validate().map_err(|e| RunError::Sim(SimError::InvalidTrace(e)))?;
         Ok(Arc::new(raw))
-    }));
-    match attempt {
-        Ok(result) => result,
-        Err(payload) => Err(RunError::Panic(panic_message(payload.as_ref()))),
-    }
+    })
 }
 
-/// Applies `strategy` to a batch-shared raw trace with the same panic
-/// isolation as [`run_cell`], returning the prepared trace and its
-/// inserted-prefetch count. One call serves every latency cell of a
-/// (workload, layout, strategy) group — `apply` does not depend on the
-/// transfer latency.
-fn prepare_strategy(
+/// Stage 2: applies `strategy` to a validated raw trace, returning the
+/// prepared trace and its inserted-prefetch count. `apply` preserves trace
+/// validity (asserted by `apply_preserves_trace_validity` below) and does
+/// not depend on the transfer latency, so one call serves every latency
+/// cell of a (workload, layout, strategy) group.
+pub(crate) fn prepare_strategy(
     cfg: &RunConfig,
     strategy: Strategy,
     raw: &Trace,
 ) -> Result<(Trace, u64), RunError> {
-    catch_unwind(AssertUnwindSafe(|| {
+    isolate(|| {
         let prepared = charlie_prefetch::apply(strategy, raw, cfg.geometry);
         let inserted = prepared.total_prefetches() as u64;
         Ok((prepared, inserted))
-    }))
-    .unwrap_or_else(|payload| Err(RunError::Panic(panic_message(payload.as_ref()))))
+    })
 }
 
-/// [`run_cell`] against a batch-shared prepared trace.
-fn run_cell_prepared(
+/// Stage 3: runs one cell on its prepared trace — the injector (if any)
+/// first, then the exact or (under [`RunConfig::sampling`]) sampled
+/// simulation. Returns the summary and the scheduler events the run cost
+/// (all passes, for a sampled run).
+pub(crate) fn run_on_prepared(
     cfg: &RunConfig,
     exp: Experiment,
     prepared: &Trace,
     prefetches_inserted: u64,
     injector: Option<&Injector>,
     observe: &ObserveSpec,
-) -> Result<RunSummary, RunError> {
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(inject) = injector {
-            if let Some(error) = inject(exp) {
-                return Err(error);
-            }
+) -> Result<(RunSummary, u64), RunError> {
+    isolate(|| {
+        if let Some(error) = injector.and_then(|inject| inject(exp)) {
+            return Err(error);
         }
-        run_on_prepared(cfg, exp, prepared, prefetches_inserted, observe)
-    }));
-    match attempt {
-        Ok(result) => result,
-        Err(payload) => Err(RunError::Panic(panic_message(payload.as_ref()))),
-    }
+        let sim_cfg = cfg.sim_config(exp);
+        let (report, timeline, sampled, events) = match cfg.sampling {
+            Some(scfg) => {
+                let (report, sampled) =
+                    crate::sampling::run_sampled_on_prepared(&sim_cfg, prepared, &scfg)?;
+                (report, None, Some(sampled), sampled.events)
+            }
+            None => {
+                let opts = SimOptions { observe: observe.observability_for(exp)?, plan: None };
+                let out = simulate_with(&sim_cfg, prepared, opts)?;
+                (out.report, out.timeline, None, out.events)
+            }
+        };
+        let summary =
+            RunSummary { experiment: exp, report, prefetches_inserted, timeline, sampled };
+        Ok((summary, events))
+    })
+}
+
+/// One cell on its own: the three pipeline stages, nothing shared.
+pub(crate) fn run_alone(
+    cfg: &RunConfig,
+    exp: Experiment,
+    injector: Option<&Injector>,
+    observe: &ObserveSpec,
+) -> Result<(RunSummary, u64), RunError> {
+    let raw = prepare_raw(cfg, exp)?;
+    let (prepared, inserted) = prepare_strategy(cfg, exp.strategy, &raw)?;
+    run_on_prepared(cfg, exp, &prepared, inserted, injector, observe)
+}
+
+/// One panic-isolated cell execution independent of any [`Lab`] — the
+/// entry point the serve daemon's worker pool and fleet workers use. The
+/// same stages [`Lab::run_batch`] runs per cell (generate, validate, apply
+/// strategy, simulate), so a served summary is bit-identical to a batch
+/// one; a panicking cell comes back as [`RunError::Panic`] instead of
+/// unwinding the worker.
+pub fn execute_cell(cfg: &RunConfig, exp: Experiment) -> Result<RunSummary, RunError> {
+    run_alone(cfg, exp, None, &ObserveSpec::default()).map(|(summary, _)| summary)
 }
 
 /// Memoizing experiment runner.
@@ -651,7 +614,7 @@ impl Lab {
         }
         self.stats.memo_misses += 1;
         let started = Instant::now();
-        let summary = run_cell(&self.cfg, exp, self.injector.as_deref(), &self.observe)?;
+        let (summary, _) = run_alone(&self.cfg, exp, self.injector.as_deref(), &self.observe)?;
         self.meta.insert(
             exp,
             RunMeta { wall_nanos: started.elapsed().as_nanos(), worker: 0, via_batch: false },
@@ -803,7 +766,8 @@ impl Lab {
                         let t0 = Instant::now();
                         let outcome = match &prepared {
                             Ok((trace, inserted)) => {
-                                run_cell_prepared(cfg, exp, trace, *inserted, injector, observe)
+                                run_on_prepared(cfg, exp, trace, *inserted, injector, observe)
+                                    .map(|(summary, _)| summary)
                             }
                             Err(error) => Err(error.clone()),
                         };
@@ -869,9 +833,9 @@ impl Lab {
                         if transient {
                             std::thread::sleep(policy.delay(attempt, salt));
                         }
-                        match run_cell(&self.cfg, exp, self.injector.as_deref(), &self.observe)
+                        match run_alone(&self.cfg, exp, self.injector.as_deref(), &self.observe)
                         {
-                            Ok(summary) => {
+                            Ok((summary, _)) => {
                                 recovered = Some(summary);
                                 break;
                             }

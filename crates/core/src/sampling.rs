@@ -33,13 +33,16 @@
 //! simulations side by side over an experiment grid and reports per-cell
 //! error, CI coverage and wall-clock speedup.
 
-use crate::lab::{Experiment, RunConfig};
+use crate::lab::{
+    execute_cell, prepare_raw, prepare_strategy, run_on_prepared, Experiment, ObserveSpec,
+    RunConfig, RunError,
+};
 use charlie_sim::{
-    simulate_prevalidated, simulate_sampled_prevalidated, SamplePlan, SampledWindow, SimConfig,
-    SimError, SimReport, WindowKind,
+    simulate_with, SamplePlan, SampledWindow, SimConfig, SimError, SimOptions, SimOutput,
+    SimReport, WindowKind,
 };
 use charlie_trace::Trace;
-use charlie_workloads::{generate, Workload, WorkloadConfig};
+use charlie_workloads::Workload;
 use std::fmt;
 
 /// Two-sided 99% normal quantile used for every confidence interval.
@@ -268,6 +271,15 @@ fn ratio_estimate(detailed: &[&SampledWindow], total_accesses: u64, value: impl 
     (est, ci.max(est / BIAS_FLOOR_DIV))
 }
 
+/// One pass of `prepared` under `plan`.
+fn run_plan(
+    sim_cfg: &SimConfig,
+    prepared: &Trace,
+    plan: SamplePlan,
+) -> Result<SimOutput, SimError> {
+    simulate_with(sim_cfg, prepared, SimOptions { plan: Some(plan), ..SimOptions::default() })
+}
+
 /// SMARTS: one periodic sampled pass plus stratified ratio estimation —
 /// the cold-start stratum (first `cold` windows, all detailed) contributes
 /// its measured cycles exactly; the steady-state remainder is a ratio
@@ -279,7 +291,7 @@ fn run_smarts(
 ) -> Result<(SimReport, SampledSummary), SimError> {
     let plan =
         SamplePlan::periodic_with_cold(scfg.window_accesses, scfg.period, scfg.warmup, scfg.cold);
-    let run = simulate_sampled_prevalidated(sim_cfg, prepared, &plan)?;
+    let run = run_plan(sim_cfg, prepared, plan)?;
     let total_accesses = run.report.demand_accesses();
     let (cold, detailed): (Vec<&SampledWindow>, Vec<&SampledWindow>) = run
         .windows
@@ -475,7 +487,7 @@ fn run_simpoint(
 ) -> Result<(SimReport, SampledSummary), SimError> {
     // Pass 1: pure fast-forward, collecting phase signatures.
     let sig_plan = SamplePlan::fast_forward(scfg.window_accesses);
-    let sig = simulate_sampled_prevalidated(sim_cfg, prepared, &sig_plan)?;
+    let sig = run_plan(sim_cfg, prepared, sig_plan)?;
     let usable: Vec<&SampledWindow> =
         sig.windows.iter().filter(|w| w.accesses > 0).collect();
     if usable.is_empty() {
@@ -514,7 +526,7 @@ fn run_simpoint(
 
     // Pass 2: detailed simulation of exactly the representatives.
     let plan = SamplePlan::explicit(scfg.window_accesses, rep_indices, scfg.warmup);
-    let run = simulate_sampled_prevalidated(sim_cfg, prepared, &plan)?;
+    let run = run_plan(sim_cfg, prepared, plan)?;
     let total_accesses = run.report.demand_accesses();
     let detailed: Vec<&SampledWindow> =
         run.windows.iter().filter(|w| w.kind == WindowKind::Detailed).collect();
@@ -586,9 +598,10 @@ fn patch_report(mut report: SimReport, summary: &SampledSummary) -> SimReport {
 }
 
 /// Runs one prepared trace in sampled mode, returning the patched report
-/// (timing totals replaced by estimates; see [`patch_report`]) and the
-/// estimate itself. Requires `sim_cfg.warmup_accesses == 0` — the sampled
-/// path owns the measurement-window semantics.
+/// (`cycles` and `bus.busy_cycles` replaced by their estimates; every
+/// functional counter is the sampled run's own) and the estimate itself.
+/// Requires `sim_cfg.warmup_accesses == 0` — the sampled path owns the
+/// measurement-window semantics.
 pub fn run_sampled_on_prepared(
     sim_cfg: &SimConfig,
     prepared: &Trace,
@@ -761,7 +774,7 @@ pub fn calibrate(
     scfg: &SamplingConfig,
     grid: &[Experiment],
     jobs: usize,
-) -> Result<Calibration, SimError> {
+) -> Result<Calibration, RunError> {
     scfg.validate().map_err(SimError::InvalidSamplePlan)?;
     let results = crate::parallel::map(grid, jobs.max(1), |_, exp| calibrate_cell(cfg, scfg, *exp));
     let mut cells = Vec::with_capacity(results.len());
@@ -771,60 +784,45 @@ pub fn calibrate(
     Ok(Calibration { config: *scfg, cells })
 }
 
-/// One cell: generate, apply strategy, run exact and sampled, compare.
+/// One cell through the lab's pipeline: generate and apply the strategy
+/// once, then simulate the prepared trace exact and sampled.
 fn calibrate_cell(
     cfg: &RunConfig,
     scfg: &SamplingConfig,
     exp: Experiment,
-) -> Result<CalibrationCell, SimError> {
-    let (sim_cfg, prepared) = prepare_cell(cfg, exp)?;
+) -> Result<CalibrationCell, RunError> {
+    let raw = prepare_raw(cfg, exp)?;
+    let (prepared, inserted) = prepare_strategy(cfg, exp.strategy, &raw)?;
+    let observe = ObserveSpec::default();
+    let simulate = |sampling| {
+        let cfg = RunConfig { sampling, ..*cfg };
+        run_on_prepared(&cfg, exp, &prepared, inserted, None, &observe)
+    };
 
     let exact_start = std::time::Instant::now();
-    let (exact, exact_events) =
-        charlie_sim::simulate_counted_prevalidated(&sim_cfg, &prepared)?;
+    let (exact, exact_events) = simulate(None)?;
     let exact_wall_ns = exact_start.elapsed().as_nanos() as u64;
 
     let sampled_start = std::time::Instant::now();
-    let (_, sampled) = run_sampled_on_prepared(&sim_cfg, &prepared, scfg)?;
+    let (sampled, _) = simulate(Some(*scfg))?;
     let sampled_wall_ns = sampled_start.elapsed().as_nanos() as u64;
 
     Ok(CalibrationCell {
         experiment: exp,
-        exact_cycles: exact.cycles,
-        exact_bus_busy: exact.bus.busy_cycles,
-        sampled,
+        exact_cycles: exact.report.cycles,
+        exact_bus_busy: exact.report.bus.busy_cycles,
+        sampled: sampled.sampled.expect("a sampled run carries its estimate"),
         exact_wall_ns,
         sampled_wall_ns,
         exact_events,
     })
 }
 
-/// Builds the simulator configuration and prepared trace for one cell the
-/// same way the lab does (validated raw trace, strategy applied).
-fn prepare_cell(cfg: &RunConfig, exp: Experiment) -> Result<(SimConfig, Trace), SimError> {
-    let wcfg = WorkloadConfig {
-        procs: cfg.procs,
-        refs_per_proc: cfg.refs_per_proc,
-        seed: cfg.seed,
-        layout: exp.layout,
-    };
-    let raw = generate(exp.workload, &wcfg);
-    raw.validate()?;
-    let prepared = charlie_prefetch::apply(exp.strategy, &raw, cfg.geometry);
-    let sim_cfg = SimConfig {
-        geometry: cfg.geometry,
-        wall_limit_ms: cfg.wall_limit_ms,
-        hw_prefetch: cfg.hw_prefetch,
-        ..SimConfig::paper(cfg.procs, exp.transfer_cycles)
-    };
-    Ok((sim_cfg, prepared))
-}
-
-/// Smoke check: the exact path reproduces a plain simulation (used by the
-/// property suite; exported so the CLI can cheaply self-test).
-pub fn exact_reference(cfg: &RunConfig, exp: Experiment) -> Result<SimReport, SimError> {
-    let (sim_cfg, prepared) = prepare_cell(cfg, exp)?;
-    simulate_prevalidated(&sim_cfg, &prepared)
+/// The exact report of one cell under `cfg`: what [`crate::Lab::run`]
+/// reports for it with sampling off — the reference a sampled estimate is
+/// judged against.
+pub fn exact_reference(cfg: &RunConfig, exp: Experiment) -> Result<SimReport, RunError> {
+    execute_cell(&RunConfig { sampling: None, ..*cfg }, exp).map(|summary| summary.report)
 }
 
 #[cfg(test)]
@@ -885,14 +883,23 @@ mod tests {
         assert_ne!(assign[0], assign[1]);
     }
 
+    /// Runs `exp` under `scfg` through the lab's pipeline.
+    fn sampled_cell(
+        cfg: RunConfig,
+        scfg: SamplingConfig,
+        exp: Experiment,
+    ) -> (SimReport, SampledSummary) {
+        let run = execute_cell(&RunConfig { sampling: Some(scfg), ..cfg }, exp).unwrap();
+        (run.report, run.sampled.expect("sampled run"))
+    }
+
     #[test]
     fn smarts_estimate_close_to_exact() {
         let cfg = small_cfg();
         let exp = Experiment::paper(Workload::Mp3d, Strategy::NoPrefetch, 8);
         let exact = exact_reference(&cfg, exp).unwrap();
-        let (sim_cfg, prepared) = prepare_cell(&cfg, exp).unwrap();
         let scfg = SamplingConfig { period: 8, ..SamplingConfig::smarts() };
-        let (report, summary) = run_sampled_on_prepared(&sim_cfg, &prepared, &scfg).unwrap();
+        let (report, summary) = sampled_cell(cfg, scfg, exp);
         assert_eq!(report.cycles, summary.est_cycles);
         assert!(summary.detailed_windows >= 1);
         let err = (summary.est_cycles as f64 - exact.cycles as f64).abs() / exact.cycles as f64;
@@ -914,15 +921,24 @@ mod tests {
     fn simpoint_runs_and_patches_report() {
         let cfg = small_cfg();
         let exp = Experiment::paper(Workload::Water, Strategy::Pref, 8);
-        let (sim_cfg, prepared) = prepare_cell(&cfg, exp).unwrap();
         let scfg = SamplingConfig { window_accesses: 1024, ..SamplingConfig::simpoint() };
-        let (report, summary) = run_sampled_on_prepared(&sim_cfg, &prepared, &scfg).unwrap();
+        let (report, summary) = sampled_cell(cfg, scfg, exp);
         assert_eq!(summary.mode, SamplingMode::Simpoint);
         assert!(summary.clusters >= 1);
         assert!(summary.detailed_windows >= 1);
         assert_eq!(report.cycles, summary.est_cycles);
         assert!(summary.est_cycles > 0);
         assert!(summary.est_bus_busy <= summary.est_cycles);
+    }
+
+    /// Calibration's exact reference runs the lab's machine: under a
+    /// non-default protocol it reports exactly what `Lab::run` reports.
+    #[test]
+    fn exact_reference_matches_lab_under_dragon() {
+        let cfg = RunConfig { protocol: charlie_sim::Protocol::Dragon, ..small_cfg() };
+        let exp = Experiment::paper(Workload::Mp3d, Strategy::Pref, 8);
+        let mut lab = crate::Lab::new(cfg);
+        assert_eq!(exact_reference(&cfg, exp).unwrap(), lab.run(exp).report);
     }
 
     #[test]

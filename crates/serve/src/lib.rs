@@ -44,7 +44,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use charlie::checkpoint::{encode_summary, Journal, JournalOptions};
@@ -358,6 +358,9 @@ struct ServerState {
     /// Local drain latch (the `shutdown` command); ORed with the SIGTERM
     /// static so in-process test servers can drain independently.
     drain: AtomicBool,
+    /// Live [`Server::hold`] guards; pool jobs park while it is nonzero.
+    holds: Mutex<usize>,
+    released: Condvar,
     started: Instant,
 }
 
@@ -424,6 +427,8 @@ impl Server {
             active: AtomicUsize::new(0),
             conns: AtomicUsize::new(0),
             drain: AtomicBool::new(false),
+            holds: Mutex::new(0),
+            released: Condvar::new(),
             started: Instant::now(),
             cfg,
         });
@@ -471,6 +476,29 @@ impl Server {
     /// Requests a drain (what SIGTERM does, callable in-process).
     pub fn request_drain(&self) {
         self.state.drain.store(true, Ordering::SeqCst);
+    }
+
+    /// Parks every pool job before it executes its cell until the returned
+    /// guard is dropped, so admitted campaigns stay in flight (and keep
+    /// their queue slots) for as long as the caller needs. An in-process
+    /// hook for tests that order events against running cells without
+    /// depending on how long a cell takes.
+    #[must_use = "dropping the guard releases the hold at once"]
+    pub fn hold(&self) -> Hold {
+        *self.state.holds.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        Hold { state: Arc::clone(&self.state) }
+    }
+}
+
+/// Guard returned by [`Server::hold`]; dropping it releases the parked jobs.
+pub struct Hold {
+    state: Arc<ServerState>,
+}
+
+impl Drop for Hold {
+    fn drop(&mut self) {
+        *self.state.holds.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.state.released.notify_all();
     }
 }
 
@@ -1174,17 +1202,23 @@ fn handle_submit(state: &Arc<ServerState>, request: &Json, resp: &mut Responder)
     ));
 }
 
-/// One pool job: execute the claimed cell through the shared retry ladder,
-/// journal it into the submitting campaign, publish to the cache. During a
-/// drain, queued-but-unstarted cells complete with the draining marker
-/// instead of running, so the daemon exits promptly and the cells re-run
-/// on resume.
+/// One pool job: wait out any [`Server::hold`], execute the claimed cell
+/// through the shared retry ladder, journal it into the submitting
+/// campaign, publish to the cache. During a drain, queued-but-unstarted
+/// cells complete with the draining marker instead of running, so the
+/// daemon exits promptly and the cells re-run on resume.
 fn run_cell_job(
     state: &Arc<ServerState>,
     campaign: &Arc<Mutex<Campaign>>,
     cell_cfg: RunConfig,
     exp: Experiment,
 ) {
+    // The count is a plain integer, valid after any panic.
+    let mut holds = state.holds.lock().unwrap_or_else(PoisonError::into_inner);
+    while *holds > 0 {
+        holds = state.released.wait(holds).unwrap_or_else(PoisonError::into_inner);
+    }
+    drop(holds);
     if state.draining() {
         state
             .cache

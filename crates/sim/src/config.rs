@@ -71,14 +71,15 @@ pub struct SimConfig {
     /// runs every 4096 events, so failure timing is approximate — and
     /// inherently nondeterministic, which is why campaigns that require
     /// bit-reproducible *failures* leave it off.
+    ///
+    /// [`SimError::WallClockExceeded`]: crate::SimError::WallClockExceeded
     pub wall_limit_ms: u64,
     /// Apply snoops only to the caches the engine's sharer table says can
     /// hold the line, instead of probing all `num_procs` caches on every
     /// bus grant. Pure strength reduction — results are bit-identical
     /// either way (the skipped probes are provably no-ops, and the table is
     /// cross-checked against brute-force occupancy whenever invariant
-    /// checking is on). On by default; turn off (or set the
-    /// `CHARLIE_NO_SNOOP_FILTER` environment variable) to time or test the
+    /// checking is on). On by default; turn off to time or test the
     /// broadcast scan.
     pub snoop_filter: bool,
     /// Run the [`crate::check`] coherence invariant checker after every bus

@@ -21,19 +21,18 @@
 //! miss counts, bus utilization, processor utilization, and demand-fill
 //! latency histograms.
 //!
+//! Two entry points run the machine: [`simulate`] validates the trace and
+//! returns the report; [`simulate_with`] runs a trace the caller has
+//! already validated, with opt-in [`SimOptions`] — an interval sampler
+//! producing a per-window [`Timeline`] and a structured JSONL trace emitter
+//! (both in [`sample`]), and a sampled-simulation [`SamplePlan`] — and
+//! returns every output of the run ([`SimOutput`]).
+//!
 //! Setting the `CHARLIE_DEBUG_EVENTS` environment variable makes the engine
 //! print a progress line (event counts, processor cursors and states, bus
 //! queue depth) every ~4M events — useful when diagnosing a run that seems
-//! stuck. Setting `CHARLIE_NO_SNOOP_FILTER` disables the sharer-tracking
-//! snoop filter (see [`sharers`]) and falls back to probing every cache on
-//! each bus grant; results are bit-identical either way.
-//!
-//! Time-resolved observability — an interval sampler producing a per-window
-//! [`Timeline`] and a structured JSONL trace emitter with category filters —
-//! lives in [`sample`] and is attached through [`simulate_observed`].
-//! `CHARLIE_DEBUG_LINE=<substr>` still works as a shorthand: it traces
-//! coherence events for matching line addresses to stderr (now in the
-//! structured JSONL format).
+//! stuck. `CHARLIE_DEBUG_LINE=<substr>` traces coherence events for
+//! matching line addresses to stderr (in the structured JSONL format).
 //!
 //! # Example
 //!
@@ -89,143 +88,76 @@ use charlie_trace::Trace;
 /// does not match the configuration, or the machine deadlocks (which a
 /// validated trace cannot cause).
 pub fn simulate(cfg: &SimConfig, trace: &Trace) -> Result<SimReport, SimError> {
-    Ok(machine::Machine::new(*cfg, trace)?.run()?.report)
+    trace.validate().map_err(SimError::InvalidTrace)?;
+    Ok(simulate_with(cfg, trace, SimOptions::default())?.report)
 }
 
-/// [`simulate`], but additionally returns the number of scheduler events the
-/// run processed — the denominator of the events/sec throughput metric the
-/// benchmark harness records (see `charlie::bench`). The report is
-/// bit-identical to [`simulate`]'s; the count is deterministic.
+/// Opt-in attachments for one [`simulate_with`] run. The default attaches
+/// nothing and is the zero-cost path: the report is bit-identical to
+/// [`simulate`]'s.
+#[derive(Default)]
+pub struct SimOptions {
+    /// Interval sampler ([`Timeline`]) and/or structured JSONL
+    /// [`TraceEmitter`] (see [`Observability`]).
+    pub observe: Observability,
+    /// Sampled simulation: windows execute detailed or functional
+    /// fast-forward according to the plan, and one [`SampledWindow`] is
+    /// recorded per window. The machine's functional state (caches,
+    /// coherence, synchronization order) stays exact in every mode; only
+    /// timing fidelity varies by window kind. Requires
+    /// `warmup_accesses == 0`: warm windows replace the statistics warm-up.
+    pub plan: Option<SamplePlan>,
+}
+
+/// Everything one [`simulate_with`] run produces.
+#[derive(Clone, Debug)]
+pub struct SimOutput {
+    /// The machine's report. Under a [`SimOptions::plan`] its timing mixes
+    /// detailed and fast-forward windows (use `windows` for estimates); its
+    /// functional counters (misses, access mix) are exact either way.
+    pub report: SimReport,
+    /// Per-window time series; `Some` exactly when
+    /// [`Observability::sample`] was set.
+    pub timeline: Option<Timeline>,
+    /// One record per plan window, in order, tagged Fast/Warm/Detailed;
+    /// empty without a plan.
+    pub windows: Vec<SampledWindow>,
+    /// Scheduler events processed — the denominator of the events/sec
+    /// throughput metric. Deterministic.
+    pub events: u64,
+}
+
+/// Runs a trace the caller has already validated (e.g. one validated once
+/// per batch and shared by every cell derived from it), with the opt-in
+/// attachments of `opts`. Behaviour on an *invalid* trace is unspecified but
+/// safe (typically [`SimError::Deadlock`] from unbalanced synchronization).
 ///
 /// # Errors
 ///
-/// Same failure modes as [`simulate`].
-pub fn simulate_counted(cfg: &SimConfig, trace: &Trace) -> Result<(SimReport, u64), SimError> {
-    let out = machine::Machine::new(*cfg, trace)?.run()?;
-    Ok((out.report, out.events))
-}
-
-/// [`simulate`] with opt-in observability attachments (see
-/// [`Observability`]): an interval sampler producing a per-window
-/// [`Timeline`] and/or a structured JSONL [`TraceEmitter`]. With both
-/// disabled (the default `Observability`) the report is bit-identical to
-/// [`simulate`]'s and the timeline is `None`.
-///
-/// # Errors
-///
-/// Same failure modes as [`simulate`].
-pub fn simulate_observed(
+/// Same failure modes as [`simulate`] except [`SimError::InvalidTrace`],
+/// plus [`SimError::InvalidSamplePlan`] for a degenerate plan or a plan
+/// combined with `warmup_accesses > 0`.
+pub fn simulate_with(
     cfg: &SimConfig,
     trace: &Trace,
-    obs: Observability,
-) -> Result<(SimReport, Option<Timeline>), SimError> {
-    let out = machine::Machine::new_observed(*cfg, trace, obs)?.run()?;
-    Ok((out.report, out.timeline))
+    opts: SimOptions,
+) -> Result<SimOutput, SimError> {
+    machine::Machine::new(*cfg, trace, opts)?.run()
 }
 
-/// [`simulate_observed`] on a caller-validated trace (the `Lab` batch path).
+/// [`simulate_with`] with no attachments, returning the report and the
+/// scheduler event count. Kept only because the benchmark under
+/// `perfbench/` (which must build unchanged) imports it.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`simulate_prevalidated`].
-pub fn simulate_observed_prevalidated(
-    cfg: &SimConfig,
-    trace: &Trace,
-    obs: Observability,
-) -> Result<(SimReport, Option<Timeline>), SimError> {
-    let out = machine::Machine::new_prevalidated_observed(*cfg, trace, obs)?.run()?;
-    Ok((out.report, out.timeline))
-}
-
-/// [`simulate`] minus the upfront `trace.validate()` pass: the caller vouches
-/// that `trace` already passed validation (e.g. a shared trace validated once
-/// per batch instead of once per cell). Behaviour on an *invalid* trace is
-/// unspecified but safe (typically [`SimError::Deadlock`] from unbalanced
-/// synchronization).
-///
-/// # Errors
-///
-/// Same failure modes as [`simulate`] except [`SimError::InvalidTrace`].
-pub fn simulate_prevalidated(cfg: &SimConfig, trace: &Trace) -> Result<SimReport, SimError> {
-    Ok(machine::Machine::new_prevalidated(*cfg, trace)?.run()?.report)
-}
-
-/// [`simulate_counted`] on a caller-validated trace — the combination the
-/// benchmark harness uses so its cells cost exactly what a `Lab` batch cell
-/// costs.
-///
-/// # Errors
-///
-/// Same failure modes as [`simulate_prevalidated`].
+/// Same failure modes as [`simulate_with`].
 pub fn simulate_counted_prevalidated(
     cfg: &SimConfig,
     trace: &Trace,
 ) -> Result<(SimReport, u64), SimError> {
-    let out = machine::Machine::new_prevalidated(*cfg, trace)?.run()?;
+    let out = simulate_with(cfg, trace, SimOptions::default())?;
     Ok((out.report, out.events))
-}
-
-/// The result of one sampled simulation pass: the (approximate) report, the
-/// per-window records the estimator and phase clustering consume, and the
-/// number of scheduler events processed (the sampled-speedup numerator).
-#[derive(Clone, Debug)]
-pub struct SampledRun {
-    /// The machine's report. In sampled mode its timing mixes detailed and
-    /// fast-forward windows — use the window records, not this, for
-    /// estimates; its *functional* counters (misses, access mix) are exact.
-    pub report: SimReport,
-    /// One record per access window, in order, tagged Fast/Warm/Detailed.
-    pub windows: Vec<SampledWindow>,
-    /// Scheduler events processed.
-    pub events: u64,
-}
-
-/// Runs `trace` under sampled simulation: windows execute detailed or
-/// functional-fast-forward according to `plan` (see [`SamplePlan`]), and one
-/// [`SampledWindow`] is recorded per window. The machine's functional state
-/// (caches, coherence, synchronization order) is maintained exactly in every
-/// mode; only timing fidelity varies by window kind.
-///
-/// The configuration must have `warmup_accesses == 0`: sampled runs replace
-/// the statistics warm-up with warm windows.
-///
-/// # Errors
-///
-/// Same failure modes as [`simulate`], plus [`SimError::InvalidTrace`]-style
-/// validation of the plan itself (degenerate plans are rejected).
-pub fn simulate_sampled(
-    cfg: &SimConfig,
-    trace: &Trace,
-    plan: &SamplePlan,
-) -> Result<SampledRun, SimError> {
-    plan.validate().map_err(SimError::InvalidSamplePlan)?;
-    if cfg.warmup_accesses != 0 {
-        return Err(SimError::InvalidSamplePlan(
-            "sampled simulation requires warmup_accesses == 0 (warm windows replace it)".into(),
-        ));
-    }
-    let out = machine::Machine::new(*cfg, trace)?.with_plan(plan.clone()).run()?;
-    Ok(SampledRun { report: out.report, windows: out.windows, events: out.events })
-}
-
-/// [`simulate_sampled`] on a caller-validated trace (the batch path).
-///
-/// # Errors
-///
-/// Same failure modes as [`simulate_sampled`] except trace validation.
-pub fn simulate_sampled_prevalidated(
-    cfg: &SimConfig,
-    trace: &Trace,
-    plan: &SamplePlan,
-) -> Result<SampledRun, SimError> {
-    plan.validate().map_err(SimError::InvalidSamplePlan)?;
-    if cfg.warmup_accesses != 0 {
-        return Err(SimError::InvalidSamplePlan(
-            "sampled simulation requires warmup_accesses == 0 (warm windows replace it)".into(),
-        ));
-    }
-    let out = machine::Machine::new_prevalidated(*cfg, trace)?.with_plan(plan.clone()).run()?;
-    Ok(SampledRun { report: out.report, windows: out.windows, events: out.events })
 }
 
 #[cfg(test)]
@@ -235,6 +167,14 @@ mod tests {
 
     fn cfg(n: usize) -> SimConfig {
         SimConfig { num_procs: n, ..SimConfig::default() }
+    }
+
+    fn observed(observe: Observability) -> SimOptions {
+        SimOptions { observe, plan: None }
+    }
+
+    fn sampled(plan: SamplePlan) -> SimOptions {
+        SimOptions { observe: Observability::default(), plan: Some(plan) }
     }
 
     /// One processor, one read: a cold miss costing ~100 cycles.
@@ -915,10 +855,10 @@ mod tests {
     fn sampling_does_not_perturb_reports() {
         let t = watchdog_trace();
         let plain = simulate(&cfg(2), &t).unwrap();
-        let (observed, timeline) =
-            simulate_observed(&cfg(2), &t, Observability::sampled(500)).unwrap();
+        let out = simulate_with(&cfg(2), &t, observed(Observability::sampled(500))).unwrap();
+        let observed = out.report;
         assert_eq!(plain, observed, "sampling must not perturb the simulation");
-        let tl = timeline.expect("sampling was enabled");
+        let tl = out.timeline.expect("sampling was enabled");
         assert!(!tl.windows.is_empty());
         assert_eq!(tl.total_bus_busy(), observed.bus.busy_cycles);
         assert_eq!(tl.total_accesses(), observed.demand_accesses());
@@ -929,10 +869,9 @@ mod tests {
         assert_eq!(tl.windows.first().unwrap().start, 0);
         assert_eq!(tl.windows.last().unwrap().end, observed.cycles);
         // Default observability: no sampler, no timeline.
-        let (unobserved, none) =
-            simulate_observed(&cfg(2), &t, Observability::default()).unwrap();
-        assert_eq!(plain, unobserved);
-        assert!(none.is_none());
+        let unobserved = simulate_with(&cfg(2), &t, SimOptions::default()).unwrap();
+        assert_eq!(plain, unobserved.report);
+        assert!(unobserved.timeline.is_none());
     }
 
     /// Sampling composes with warm-up: the sampler rebases when the window
@@ -953,10 +892,10 @@ mod tests {
         let mut warm_cfg = cfg(1);
         warm_cfg.warmup_accesses = 64;
         let plain = simulate(&warm_cfg, &t).unwrap();
-        let (observed, timeline) =
-            simulate_observed(&warm_cfg, &t, Observability::sampled(50)).unwrap();
+        let out = simulate_with(&warm_cfg, &t, observed(Observability::sampled(50))).unwrap();
+        let observed = out.report;
         assert_eq!(plain, observed);
-        let tl = timeline.expect("sampling was enabled");
+        let tl = out.timeline.expect("sampling was enabled");
         assert_eq!(
             tl.windows.first().unwrap().start,
             observed.measured_from,
@@ -1076,7 +1015,7 @@ mod tests {
             let cfg = SimConfig { num_procs: n, warmup_accesses: 0, ..SimConfig::default() };
             let exact = simulate(&cfg, &t).unwrap();
             let plan = SamplePlan::periodic(37, 1, 0);
-            let run = simulate_sampled(&cfg, &t, &plan).unwrap();
+            let run = simulate_with(&cfg, &t, sampled(plan.clone())).unwrap();
             assert_eq!(run.report, exact, "seed {seed}: all-detailed must match exact");
             let total: u64 = run.windows.iter().map(|w| w.accesses).sum();
             assert_eq!(total, exact.reads + exact.writes, "seed {seed}: windows must tile");
@@ -1098,8 +1037,8 @@ mod tests {
                 ..SimConfig::default()
             };
             let plan = SamplePlan::periodic(23, 4, 1);
-            let a = simulate_sampled(&cfg, &t, &plan).unwrap();
-            let b = simulate_sampled(&cfg, &t, &plan).unwrap();
+            let a = simulate_with(&cfg, &t, sampled(plan.clone())).unwrap();
+            let b = simulate_with(&cfg, &t, sampled(plan.clone())).unwrap();
             assert_eq!(a.report, b.report, "seed {seed}: sampled runs must be deterministic");
             assert_eq!(a.windows, b.windows, "seed {seed}");
             let total: u64 = a.windows.iter().map(|w| w.accesses).sum();
@@ -1140,19 +1079,19 @@ mod tests {
                 check_invariants: true,
                 ..SimConfig::default()
             };
-            let exact = simulate_counted(&cfg, &t).unwrap();
-            let ff = simulate_sampled(&cfg, &t, &SamplePlan::fast_forward(16)).unwrap();
+            let exact = simulate_with(&cfg, &t, SimOptions::default()).unwrap();
+            let ff = simulate_with(&cfg, &t, sampled(SamplePlan::fast_forward(16))).unwrap();
             assert_eq!(
                 ff.report.reads + ff.report.writes,
-                exact.0.reads + exact.0.writes,
+                exact.report.reads + exact.report.writes,
                 "seed {seed}: every access retires under fast-forward"
             );
             assert_eq!(ff.report.bus.total_ops(), 0, "seed {seed}: no bus traffic in pure FF");
             assert!(
-                ff.events < exact.1,
+                ff.events < exact.events,
                 "seed {seed}: FF must process fewer events ({} vs {})",
                 ff.events,
-                exact.1
+                exact.events
             );
         }
     }
@@ -1178,7 +1117,7 @@ mod tests {
             check_invariants: true,
             ..SimConfig::default()
         };
-        let run = simulate_sampled(&cfg, &t, &SamplePlan::periodic(16, 3, 1)).unwrap();
+        let run = simulate_with(&cfg, &t, sampled(SamplePlan::periodic(16, 3, 1))).unwrap();
         let pf = run.report.prefetch;
         assert_eq!(pf.executed, 80, "every prefetch dispatches");
         assert_eq!(
@@ -1198,12 +1137,12 @@ mod tests {
         let cfg = SimConfig::default();
         let bad = SamplePlan::periodic(0, 4, 1);
         assert!(matches!(
-            simulate_sampled(&cfg, &t, &bad),
+            simulate_with(&cfg, &t, sampled(bad)),
             Err(SimError::InvalidSamplePlan(_))
         ));
         let warm = SimConfig { warmup_accesses: 10, ..SimConfig::default() };
         assert!(matches!(
-            simulate_sampled(&warm, &t, &SamplePlan::periodic(8, 2, 0)),
+            simulate_with(&warm, &t, sampled(SamplePlan::periodic(8, 2, 0))),
             Err(SimError::InvalidSamplePlan(_))
         ));
     }

@@ -30,9 +30,10 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::metrics::{HwPrefetchStats, MissBreakdown, PrefetchStats, SimReport};
 use crate::proc::{OutstandingPrefetch, PendingAccess, Proc, ProcStatus, Purpose};
-use crate::sample::{CounterSnapshot, Gauges, Observability, Sampler, Timeline, TraceEmitter};
+use crate::sample::{CounterSnapshot, Gauges, Sampler, Timeline, TraceEmitter};
 use crate::sampling::{SamplePlan, SampledWindow, WindowKind};
 use crate::sharers::SharerTable;
+use crate::{SimOptions, SimOutput};
 use crate::sync::{BarrierState, LockTable};
 use charlie_bus::{Bus, GrantOutcome, Priority, TxnId};
 use charlie_cache::protocol::{self, BusOp, LocalAction};
@@ -165,8 +166,7 @@ pub(crate) struct Machine<'t> {
     /// only selects whether it is *used*.
     sharers: SharerTable,
     /// Iterate the sharer mask in `apply_snoops` instead of scanning all
-    /// caches. From `SimConfig::snoop_filter`, overridable by the
-    /// `CHARLIE_NO_SNOOP_FILTER` environment variable (read once here).
+    /// caches (`SimConfig::snoop_filter`).
     snoop_filter: bool,
     /// Per processor: lines a prefetch brought in that vanished before any
     /// demand use (so a later tag-mismatch miss can be classified
@@ -197,7 +197,7 @@ pub(crate) struct Machine<'t> {
     /// First invariant violation found; the event loop converts it into
     /// `SimError::InvariantViolation` before dispatching the next event.
     violation: Option<CoherenceViolation>,
-    /// Structured trace sink (from [`Observability`], or constructed from
+    /// Structured trace sink (from [`crate::Observability`], or constructed from
     /// `CHARLIE_DEBUG_LINE` for the legacy stderr coherence aid).
     tracer: Option<TraceEmitter>,
     /// Interval sampler recording the per-window [`Timeline`]; `None` (the
@@ -233,41 +233,27 @@ pub(crate) struct Machine<'t> {
     barrier_scratch: Vec<ProcId>,
 }
 
-/// Everything one machine run produces.
-pub(crate) struct MachineOutput {
-    pub report: SimReport,
-    pub timeline: Option<Timeline>,
-    /// Per-window records of an attached [`SamplePlan`]; empty without one.
-    pub windows: Vec<SampledWindow>,
-    /// Scheduler events processed (the throughput denominator).
-    pub events: u64,
-}
-
 impl<'t> Machine<'t> {
-    pub(crate) fn new(cfg: SimConfig, trace: &'t Trace) -> Result<Self, SimError> {
-        Machine::new_observed(cfg, trace, Observability::default())
-    }
-
-    pub(crate) fn new_observed(
+    /// Builds the machine for one run of a caller-validated `trace`.
+    /// A sample plan is checked here, before anything runs: a structurally
+    /// invalid plan, or one combined with statistics warm-up (warm-up zeroes
+    /// the tallies mid-run, which would corrupt the plan's counter deltas;
+    /// sampled runs use warm windows instead), is
+    /// [`SimError::InvalidSamplePlan`].
+    pub(crate) fn new(
         cfg: SimConfig,
         trace: &'t Trace,
-        obs: Observability,
+        SimOptions { observe, plan }: SimOptions,
     ) -> Result<Self, SimError> {
-        trace.validate().map_err(SimError::InvalidTrace)?;
-        Machine::new_prevalidated_observed(cfg, trace, obs)
-    }
-
-    /// [`Machine::new`] without the `trace.validate()` pass — the caller
-    /// vouches the trace already passed validation (shared-trace batch path).
-    pub(crate) fn new_prevalidated(cfg: SimConfig, trace: &'t Trace) -> Result<Self, SimError> {
-        Machine::new_prevalidated_observed(cfg, trace, Observability::default())
-    }
-
-    pub(crate) fn new_prevalidated_observed(
-        cfg: SimConfig,
-        trace: &'t Trace,
-        obs: Observability,
-    ) -> Result<Self, SimError> {
+        if let Some(plan) = &plan {
+            plan.validate().map_err(SimError::InvalidSamplePlan)?;
+            if cfg.warmup_accesses != 0 {
+                return Err(SimError::InvalidSamplePlan(
+                    "sampled simulation requires warmup_accesses == 0 (warm windows replace it)"
+                        .into(),
+                ));
+            }
+        }
         if trace.num_procs() != cfg.num_procs {
             return Err(SimError::ProcCountMismatch {
                 config: cfg.num_procs,
@@ -278,7 +264,7 @@ impl<'t> Machine<'t> {
             return Err(SimError::BadProcCount(cfg.num_procs));
         }
         let n = cfg.num_procs;
-        let sampler = obs.sample.map(Sampler::new);
+        let sampler = observe.sample.map(Sampler::new);
         let sample_next_at = sampler.as_ref().map_or(u64::MAX, Sampler::next_at);
         let hw = if cfg.hw_prefetch.is_enabled() {
             Some(HwState {
@@ -312,8 +298,7 @@ impl<'t> Machine<'t> {
             locks: LockTable::new(),
             barrier: BarrierState::new(n),
             sharers: SharerTable::new(n),
-            snoop_filter: cfg.snoop_filter
-                && std::env::var_os("CHARLIE_NO_SNOOP_FILTER").is_none(),
+            snoop_filter: cfg.snoop_filter,
             ghosts: vec![FxHashSet::default(); n],
             hw,
             tallies: Tallies::default(),
@@ -324,7 +309,7 @@ impl<'t> Machine<'t> {
             measured_from: 0,
             checking: cfg.check_invariants || cfg!(debug_assertions),
             violation: None,
-            tracer: obs.tracer.or_else(TraceEmitter::from_env),
+            tracer: observe.tracer.or_else(TraceEmitter::from_env),
             sampler,
             sample_next_at,
             debug_events: std::env::var_os("CHARLIE_DEBUG_EVENTS").is_some(),
@@ -332,43 +317,22 @@ impl<'t> Machine<'t> {
             wall_deadline: (cfg.wall_limit_ms > 0).then(|| {
                 std::time::Instant::now() + std::time::Duration::from_millis(cfg.wall_limit_ms)
             }),
-            plan: None,
-            ff_active: false,
+            ff_active: plan.as_ref().is_some_and(|p| p.kind_of(0) == WindowKind::Fast),
+            plan: plan.map(|plan| PlanState {
+                win_left: plan.window_accesses,
+                win_idx: 0,
+                win_start: 0,
+                base: CounterSnapshot::default(),
+                base_misses: 0,
+                records: Vec::new(),
+                plan,
+            }),
             live_txns: 0,
             barrier_scratch: Vec::new(),
         })
     }
 
-    /// Attaches a sampled-simulation plan. Must be called before `run`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a structurally invalid plan (see [`SamplePlan::validate`])
-    /// or when combined with statistics warm-up (`warmup_accesses > 0`):
-    /// warm-up zeroes the tallies mid-run, which would corrupt the plan's
-    /// counter deltas — sampled runs use warm windows instead.
-    pub(crate) fn with_plan(mut self, plan: SamplePlan) -> Self {
-        if let Err(e) = plan.validate() {
-            panic!("invalid sample plan: {e}");
-        }
-        assert_eq!(
-            self.cfg.warmup_accesses, 0,
-            "sampled simulation replaces statistics warm-up with warm windows"
-        );
-        self.ff_active = plan.kind_of(0) == WindowKind::Fast;
-        self.plan = Some(PlanState {
-            win_left: plan.window_accesses,
-            win_idx: 0,
-            win_start: 0,
-            base: CounterSnapshot::default(),
-            base_misses: 0,
-            records: Vec::new(),
-            plan,
-        });
-        self
-    }
-
-    pub(crate) fn run(mut self) -> Result<MachineOutput, SimError> {
+    pub(crate) fn run(mut self) -> Result<SimOutput, SimError> {
         for p in 0..self.cfg.num_procs {
             let e = self.epochs[p];
             self.push(0, EventKind::Wake { proc: p as u8, epoch: e });
@@ -470,7 +434,7 @@ impl<'t> Machine<'t> {
             Vec::new()
         };
         let (report, timeline) = self.into_report();
-        Ok(MachineOutput { report, timeline, windows, events: events_processed })
+        Ok(SimOutput { report, timeline, windows, events: events_processed })
     }
 
     /// Reads the monotone counters the sampler windows over.

@@ -270,8 +270,8 @@ impl HwPrefetchStats {
 /// contributes only its in-window portion, and the final grant's occupancy
 /// past the last retire is subtracted), access/miss counters start at the
 /// boundary, and the fill-latency histogram only records fills *issued*
-/// inside the window. Ratios such as [`bus_utilization`]
-/// (`SimReport::bus_utilization`) therefore divide a numerator and a
+/// inside the window. Ratios such as
+/// [`SimReport::bus_utilization`] therefore divide a numerator and a
 /// denominator drawn from the same span and stay in `[0, 1]`.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct SimReport {

@@ -8,7 +8,7 @@
 //! what guards it.
 
 use charlie::prefetch::{apply, Strategy};
-use charlie::sim::{simulate, simulate_observed, Observability, SimConfig, SimReport};
+use charlie::sim::{simulate, simulate_with, Observability, SimConfig, SimOptions, SimReport};
 use charlie::workloads::{generate, Layout, Workload, WorkloadConfig};
 use charlie::CacheGeometry;
 use proptest::prelude::*;
@@ -130,11 +130,10 @@ proptest! {
     fn sampling_is_invisible_and_tiles_the_run(cell in arb_cell()) {
         let (cfg, prepared) = run_cell(&cell, true);
         let plain = simulate(&cfg, &prepared).expect("valid trace");
-        let (sampled, timeline) =
-            simulate_observed(&cfg, &prepared, Observability::sampled(256))
-                .expect("valid trace");
-        prop_assert_eq!(&plain, &sampled, "sampling must not perturb the run");
-        let timeline = timeline.expect("sampling was enabled");
+        let opts = SimOptions { observe: Observability::sampled(256), plan: None };
+        let run = simulate_with(&cfg, &prepared, opts).expect("valid trace");
+        prop_assert_eq!(&plain, &run.report, "sampling must not perturb the run");
+        let timeline = run.timeline.expect("sampling was enabled");
         prop_assert_eq!(timeline.total_bus_busy(), plain.bus.busy_cycles);
         prop_assert_eq!(timeline.total_accesses(), plain.demand_accesses());
         for w in &timeline.windows {

@@ -5,9 +5,8 @@
 //! the engine probes only the caches its sharer table says can hold the
 //! line. Skipped probes are provably no-ops, so every observable output
 //! must be bit-identical with the filter on or off. These tests check that
-//! contract end to end: raw `SimReport`s across machine sizes, workloads,
-//! strategies and both coherence protocols, and the rendered experiment
-//! exhibits via the `CHARLIE_NO_SNOOP_FILTER` kill switch.
+//! contract on raw `SimReport`s across machine sizes, workloads,
+//! strategies and both coherence protocols.
 //!
 //! `SimReport` derives `PartialEq` over every counter, histogram and
 //! per-processor record, so `==` really is a full bitwise comparison.
@@ -15,7 +14,7 @@
 use charlie::prefetch::apply;
 use charlie::sim::{simulate, Protocol, SimConfig, SimReport};
 use charlie::workloads::generate;
-use charlie::{CacheGeometry, Lab, Layout, RunConfig, Strategy, Workload, WorkloadConfig};
+use charlie::{CacheGeometry, Layout, Strategy, Workload, WorkloadConfig};
 
 /// Simulates one workload on a `procs`-processor machine with the snoop
 /// filter forced on or off via `SimConfig`.
@@ -64,29 +63,4 @@ fn filtered_reports_are_bit_identical_across_strategies_and_protocols() {
             assert_eq!(filtered, broadcast, "{strategy}/{protocol} diverged");
         }
     }
-}
-
-fn exhibit_slice() -> String {
-    let mut lab = Lab::new(RunConfig {
-        procs: 4,
-        refs_per_proc: 2_000,
-        seed: 0xC0FFEE,
-        ..RunConfig::default()
-    });
-    let mut out = String::new();
-    out.push_str(&charlie::experiments::figure1(&mut lab).to_string());
-    out.push_str(&charlie::experiments::table2(&mut lab).to_string());
-    out
-}
-
-/// One slice of the experiments output, rendered to text with the filter on
-/// and again with the `CHARLIE_NO_SNOOP_FILTER` kill switch: byte-identical.
-/// This pins the user-facing regeneration path, not just raw reports.
-#[test]
-fn exhibit_output_is_byte_identical_under_kill_switch() {
-    let filtered = exhibit_slice();
-    std::env::set_var("CHARLIE_NO_SNOOP_FILTER", "1");
-    let broadcast = exhibit_slice();
-    std::env::remove_var("CHARLIE_NO_SNOOP_FILTER");
-    assert_eq!(filtered, broadcast, "exhibit text diverged under kill switch");
 }
